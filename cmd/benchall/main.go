@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/loadgen"
-	"repro/internal/wire"
 )
 
 // loadWorkerArg re-invokes this binary as a loadsweep client worker: big
@@ -59,9 +58,6 @@ func main() {
 	groupSize := flag.Int("group-size", 4, "clients per sharing group in the loadsweep")
 	commitWindows := flag.String("commit-windows", "0,1ms,5ms,20ms",
 		"journal commit windows for the loadsweep durability sweep (empty = skip)")
-	codec := flag.String("codec", "auto", "wire codec for TCP experiments: auto|binary|gob")
-	codecCompare := flag.Bool("codec-compare", true,
-		"also drive each loadsweep rung with gob clients (the gob-vs-binary comparison)")
 	jsonPath := flag.String("json", "", "also write the assembled numbers as JSON to this path")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	mutexProf := flag.String("mutexprofile", "", "write a mutex-contention profile to this path")
@@ -78,7 +74,6 @@ func main() {
 		clients: *clients, scalingOps: *scalingOps,
 		loadClients: *loadClients, loadOps: *loadOps, loadReps: *loadReps, groupSize: *groupSize,
 		commitWindows: *commitWindows, jsonPath: *jsonPath, allowDirty: *allowDirty,
-		codec: *codec, codecCompare: *codecCompare,
 	})
 	if err := stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
@@ -175,24 +170,6 @@ type runOpts struct {
 	commitWindows string
 	jsonPath      string
 	allowDirty    bool
-	codec         string
-	codecCompare  bool
-}
-
-// parseCodec maps the -codec flag to a wire.Codec, and names the codec the
-// run's clients will actually speak (auto negotiates binary against this
-// repo's own server).
-func parseCodec(s string) (wire.Codec, string, error) {
-	switch s {
-	case "auto", "":
-		return wire.CodecAuto, string(wire.CodecBinary), nil
-	case "binary":
-		return wire.CodecBinary, string(wire.CodecBinary), nil
-	case "gob":
-		return wire.CodecGob, string(wire.CodecGob), nil
-	default:
-		return wire.CodecAuto, "", fmt.Errorf("invalid -codec %q (want auto|binary|gob)", s)
-	}
 }
 
 // parseWindows parses the -commit-windows list ("0,1ms,5ms,20ms").
@@ -223,17 +200,11 @@ func run(o runOpts) error {
 	needMatrix := exp == "all" || exp == "table2" || exp == "fig8" || exp == "fig9"
 	rep := &experiment.Report{Scale: scale}
 
-	wireCodec, codecName, err := parseCodec(o.codec)
-	if err != nil {
-		return err
-	}
-
 	// A committed BENCH_*.json claiming to be "commit X" while the tree had
 	// uncommitted edits is a corrupted trajectory point. Refuse up front —
 	// before any long experiment runs — unless the caller opts in.
 	if jsonPath != "" {
 		rep.Meta = experiment.NewRunMeta()
-		rep.Meta.Codec = codecName
 		if rep.Meta.Dirty && !o.allowDirty {
 			return fmt.Errorf("-json refused: working tree is dirty, so the report would not be " +
 				"attributable to a commit; commit first or pass -allow-dirty")
@@ -356,13 +327,11 @@ func run(o runOpts) error {
 		}
 		workerCmd := []string{selfExe(), loadWorkerArg}
 		rs, err := experiment.LoadSweep(experiment.LoadSweepConfig{
-			ClientCounts:  counts,
-			TotalOps:      o.loadOps,
-			GroupSize:     o.groupSize,
-			WorkerCmd:     workerCmd,
-			Repeat:        o.loadReps,
-			Codec:         wireCodec,
-			CompareCodecs: o.codecCompare,
+			ClientCounts: counts,
+			TotalOps:     o.loadOps,
+			GroupSize:    o.groupSize,
+			WorkerCmd:    workerCmd,
+			Repeat:       o.loadReps,
 		})
 		if err != nil {
 			return err

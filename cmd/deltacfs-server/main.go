@@ -45,7 +45,6 @@ func main() {
 	commitWindow := flag.Duration("commit-window", kvstore.DefaultCommitWindow,
 		"journal group-commit window (0 = fsync per push)")
 	workers := flag.Int("workers", 0, "connection worker pool size (0 = auto)")
-	forceGob := flag.Bool("force-gob", false, "serve the legacy gob codec only (binary negotiation disabled)")
 	flag.Parse()
 
 	meter := metrics.NewCPUMeter(metrics.PC)
@@ -133,7 +132,7 @@ func main() {
 		}()
 	}
 
-	if err := wire.ServeWith(lis, srv, wire.ServeConfig{Workers: *workers, ForceGob: *forceGob}); err != nil {
+	if err := wire.ServeWith(lis, srv, wire.ServeConfig{Workers: *workers}); err != nil {
 		log.Fatalf("deltacfs-server: %v", err)
 	}
 }

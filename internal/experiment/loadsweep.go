@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/loadgen"
-	"repro/internal/wire"
 )
 
 // RunMeta pins a benchmark report to the machine and revision that produced
@@ -30,10 +29,6 @@ type RunMeta struct {
 	// build carries no VCS stamp, e.g. `go test` binaries).
 	Commit string `json:"commit"`
 	Dirty  bool   `json:"dirty,omitempty"`
-	// Codec is the wire codec the run's clients negotiated ("binary" or
-	// "gob"). Throughput numbers are only comparable across reports that
-	// agree here: the codec change alone moves every TCP rung.
-	Codec string `json:"codec,omitempty"`
 }
 
 // NewRunMeta captures the current process's run metadata.
@@ -86,13 +81,6 @@ type LoadResult struct {
 
 	// Speedup is striped over 1-stripe throughput.
 	Speedup float64 `json:"speedup"`
-
-	// Gob, when the sweep compares codecs, is the striped-server rung driven
-	// by gob-codec clients — the same herd as Striped with only the wire
-	// codec changed, so CodecSpeedup isolates the binary codec's effect.
-	Gob *loadgen.Result `json:"gob,omitempty"`
-	// CodecSpeedup is binary (Striped) over gob throughput.
-	CodecSpeedup float64 `json:"codec_speedup,omitempty"`
 }
 
 // LoadSweepConfig parameterizes LoadSweep.
@@ -113,13 +101,6 @@ type LoadSweepConfig struct {
 	// and 1-stripe) and keeps each configuration's best run, damping
 	// scheduler and neighbor noise (default 2).
 	Repeat int
-	// Codec selects the clients' wire codec for the striped/global runs
-	// ("" = auto, which negotiates binary).
-	Codec wire.Codec
-	// CompareCodecs additionally drives the striped server with gob-codec
-	// clients each repeat, populating LoadResult.Gob and CodecSpeedup —
-	// the gob-vs-binary dimension of the sweep.
-	CompareCodecs bool
 }
 
 // LoadSweep measures real-TCP push throughput and latency for each client
@@ -150,7 +131,6 @@ func LoadSweep(cfg LoadSweepConfig) ([]LoadResult, error) {
 			OpsPerClient: ops,
 			Workers:      cfg.Workers,
 			WorkerCmd:    cfg.WorkerCmd,
-			Codec:        cfg.Codec,
 		}
 		row := LoadResult{Clients: n}
 
@@ -180,25 +160,10 @@ func LoadSweep(cfg LoadSweepConfig) ([]LoadResult, error) {
 			}
 			return nil
 		}
-		runGob := func() error {
-			gob := base
-			gob.Codec = wire.CodecGob
-			res, err := loadgen.Run(gob)
-			if err != nil {
-				return fmt.Errorf("loadsweep: %d clients (gob): %w", n, err)
-			}
-			if row.Gob == nil || res.OpsPerSec > row.Gob.OpsPerSec {
-				row.Gob = res
-			}
-			return nil
-		}
 		for rep := 0; rep < cfg.Repeat; rep++ {
 			order := []func() error{runStriped, runGlobal}
-			if cfg.CompareCodecs {
-				order = append(order, runGob)
-			}
 			if rep%2 == 1 {
-				order[0], order[len(order)-1] = order[len(order)-1], order[0]
+				order[0], order[1] = order[1], order[0]
 			}
 			for _, f := range order {
 				if err := f(); err != nil {
@@ -210,9 +175,6 @@ func LoadSweep(cfg LoadSweepConfig) ([]LoadResult, error) {
 		if row.Global.OpsPerSec > 0 {
 			row.Speedup = row.Striped.OpsPerSec / row.Global.OpsPerSec
 		}
-		if row.Gob != nil && row.Gob.OpsPerSec > 0 {
-			row.CodecSpeedup = row.Striped.OpsPerSec / row.Gob.OpsPerSec
-		}
 		out = append(out, row)
 	}
 	return out, nil
@@ -223,10 +185,7 @@ func LoadSweep(cfg LoadSweepConfig) ([]LoadResult, error) {
 // numbers are reported, never asserted).
 func CheckLoad(rs []LoadResult) error {
 	for _, r := range rs {
-		for _, res := range []*loadgen.Result{r.Striped, r.Global, r.Gob} {
-			if res == nil {
-				continue
-			}
+		for _, res := range []*loadgen.Result{r.Striped, r.Global} {
 			if res.Errors > 0 || !res.Converged {
 				return fmt.Errorf("loadsweep: %d clients: errors=%d mismatches=%d duplicate_applies=%d converged=%v",
 					r.Clients, res.Errors, res.Mismatches, res.DuplicateApplies, res.Converged)
@@ -249,29 +208,6 @@ func PrintLoad(w io.Writer, rs []LoadResult) {
 			r.Global.OpsPerSec, r.Global.P99Micros, r.Speedup)
 	}
 	tw.Flush()
-	if len(rs) > 0 && rs[0].Gob != nil {
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "Wire codec comparison: %s clients vs gob clients, striped server\n",
-			orCodec(rs[0].Striped.Codec))
-		tw = tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "clients\tbinary ops/s\tp99 us\tgob ops/s\tp99 us\tspeedup")
-		for _, r := range rs {
-			if r.Gob == nil {
-				continue
-			}
-			fmt.Fprintf(tw, "%d\t%.0f\t%.1f\t%.0f\t%.1f\t%.2fx\n",
-				r.Clients, r.Striped.OpsPerSec, r.Striped.P99Micros,
-				r.Gob.OpsPerSec, r.Gob.P99Micros, r.CodecSpeedup)
-		}
-		tw.Flush()
-	}
-}
-
-func orCodec(c string) string {
-	if c == "" {
-		return "binary"
-	}
-	return c
 }
 
 // CommitWindowResult is one rung of the journal group-commit sweep: the

@@ -23,7 +23,8 @@ import (
 )
 
 // Injected fault sentinels. They surface as ordinary connection errors to
-// the layers above (TLS, gob), but tests can identify them with errors.Is.
+// the layers above (TLS, the wire codec), but tests can identify them with
+// errors.Is.
 var (
 	ErrInjectedDrop    = errors.New("faultinject: injected connection drop")
 	ErrInjectedPartial = errors.New("faultinject: injected partial write")

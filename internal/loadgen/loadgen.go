@@ -68,10 +68,6 @@ type Config struct {
 	// program as a load worker (WorkerMain). Required for client counts
 	// whose descriptors cannot fit in-process.
 	WorkerCmd []string
-	// Codec selects the clients' wire codec (CodecAuto negotiates binary
-	// with a fallback to gob; CodecGob forces the legacy path — the
-	// loadsweep's gob-vs-binary dimension).
-	Codec wire.Codec
 }
 
 // Result is one load run's measurements.
@@ -80,10 +76,6 @@ type Result struct {
 	GroupSize    int `json:"group_size"`
 	OpsPerClient int `json:"ops_per_client"`
 	Ops          int `json:"ops"`
-
-	// Codec is the wire codec the clients actually negotiated ("binary" or
-	// "gob"), as reported by the herd — not merely what was requested.
-	Codec string `json:"codec"`
 
 	OpsPerSec float64 `json:"ops_per_sec"`
 	P50Micros float64 `json:"p50_micros"`
@@ -183,6 +175,8 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Releases the journal on the early-error returns; the success path
+		// closes it explicitly below, after which this Close is a no-op.
 		defer j.Close()
 		srv.SetJournal(j)
 		journal = j
@@ -207,7 +201,6 @@ func Run(cfg Config) (*Result, error) {
 		PayloadBytes: cfg.PayloadBytes,
 		DialParallel: cfg.DialParallel,
 		PollEvery:    cfg.PollEvery,
-		Codec:        string(cfg.Codec),
 	}
 
 	// Throughput is computed over the ops phase only — each herd times its
@@ -240,13 +233,18 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.P50Micros = percentileMicros(lats, 0.50)
 	res.P99Micros = percentileMicros(lats, 0.99)
-	res.Codec = wr.Codec
 	res.Throttles = wr.Throttles
 	res.Errors = int(wr.Errors)
 	res.Mismatches = int(wr.Mismatches)
 	ob := srv.OutboxStats()
 	res.OutboxDrops = ob.Drops
 	if journal != nil {
+		// Every client has its replies, so no push is in flight. Closing
+		// flushes the pending commit window before the counters are read,
+		// and a failed final flush is a failed run.
+		if err := journal.Close(); err != nil {
+			return nil, fmt.Errorf("loadgen: close journal: %w", err)
+		}
 		res.Fsyncs = journal.Fsyncs()
 		res.SyncCoalesced = journal.SyncCoalesced()
 	}
@@ -354,9 +352,6 @@ func runViaWorkers(cfg Config, wc workerConfig) (workerResult, int, error) {
 		total.Throttles += wr.Throttles
 		total.Errors += wr.Errors
 		total.Mismatches += wr.Mismatches
-		if wr.Codec != "" {
-			total.Codec = wr.Codec
-		}
 		if wr.OpsElapsedMicros > total.OpsElapsedMicros {
 			total.OpsElapsedMicros = wr.OpsElapsedMicros
 		}

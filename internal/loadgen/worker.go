@@ -28,8 +28,6 @@ type workerConfig struct {
 	PayloadBytes int
 	DialParallel int
 	PollEvery    int
-	// Codec is the requested wire codec (a wire.Codec value; "" = auto).
-	Codec string
 }
 
 // workerResult is one herd's share of the measurements.
@@ -38,8 +36,6 @@ type workerResult struct {
 	Throttles  int64
 	Errors     int64
 	Mismatches int64
-	// Codec is the codec the herd's connections negotiated.
-	Codec string
 	// OpsElapsedMicros is the herd's own ops-phase wall time: from the go
 	// signal to its last client finishing its pushes. The convergence
 	// fetch-back phase runs after the clock stops, so verification cost
@@ -131,7 +127,6 @@ func stageClients(wc workerConfig) (*herd, error) {
 				Group:     wc.groupOf(wc.BaseIndex + i),
 				OpTimeout: 2 * time.Minute,
 				HardClose: true,
-				Codec:     wire.Codec(wc.Codec),
 			})
 			if err != nil {
 				err = fmt.Errorf("client %d: %w", wc.BaseIndex+i, err)
@@ -193,9 +188,6 @@ func (h *herd) run() workerResult {
 		total.Mismatches += r.Mismatches
 	}
 	total.OpsElapsedMicros = opsElapsed.Microseconds()
-	if len(h.conns) > 0 {
-		total.Codec = h.conns[0].Codec()
-	}
 	return total
 }
 

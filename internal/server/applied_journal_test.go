@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -220,6 +222,45 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	}
 	if d := s2.DuplicateApplies(); d != 0 {
 		t.Fatalf("DuplicateApplies after replay = %d, want 0", d)
+	}
+}
+
+// An entry without binaryEntryMagic — whatever wrote it — is refused:
+// Replay fails, names the entry's sequence number, and applies nothing.
+func TestJournalReplayRejectsEntryWithoutMagic(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(nil)
+	s.SetJournal(j)
+	cli := s.Register()
+	if r := s.Push(cli, keyedBatch(cli, 1, "f1", []byte{1})); r.Statuses[0] != wire.StatusOK {
+		t.Fatalf("push: %+v", r)
+	}
+	// A well-formed [from][payload] body that lacks only the magic.
+	body := binary.LittleEndian.AppendUint32(nil, cli)
+	body = wire.AppendBatch(body, keyedBatch(cli, 2, "f2", []byte{2}))
+	if err := j.kv.Put(entryKey(2), body); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	s2 := New(nil)
+	n, err := j2.Replay(s2)
+	if err == nil || !strings.Contains(err.Error(), "journal entry 2") {
+		t.Fatalf("Replay = %d, %v; want an error naming journal entry 2", n, err)
+	}
+	if len(s2.Files()) != 0 {
+		t.Fatalf("failed replay applied entries: %v", s2.Files())
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -13,9 +12,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Journal is the server's durable push log: every batch is recorded —
-// gob-encoded, in commit order — before it is applied, so a crash between
-// periodic snapshots loses no acknowledged push. Recovery is
+// Journal is the server's durable push log: every batch is recorded — as
+// its binary wire payload, in commit order — before it is applied, so a
+// crash between periodic snapshots loses no acknowledged push. Recovery is
 // snapshot-then-replay: LoadFile restores the last snapshot, Replay re-pushes
 // every journaled batch after the snapshot boundary, and the restored
 // idempotency state (snapshot v2 dedup) absorbs any batch the snapshot had
@@ -39,18 +38,8 @@ type Journal struct {
 	sync    bool   // fsync per Record (no commit window)
 }
 
-// journalEntry is one recorded push in the legacy gob entry format.
-// Journals written before the binary codec hold these; Replay still decodes
-// them, so a server upgraded across the codec change recovers its old WAL.
-type journalEntry struct {
-	From  uint32
-	Batch *wire.Batch
-}
-
-// binaryEntryMagic prefixes entries written in the binary format:
-// [magic 4][from u32 LE][batch payload]. The first byte is 0x00, which a
-// gob stream can never start with (gob frames messages with a uvarint byte
-// count ≥ 1), so the two formats are unambiguous side by side in one store.
+// binaryEntryMagic prefixes every entry: [magic 4][from u32 LE][batch
+// payload]. Replay refuses an entry without it.
 var binaryEntryMagic = [4]byte{0x00, 'D', 'C', 1}
 
 // snapKey holds the highest entry sequence covered by the latest server
@@ -181,8 +170,8 @@ func (j *Journal) snapshotted() uint64 {
 // replayed pushes must not re-record themselves). Replays go through
 // PushEncoded, so batches the snapshot already applied are absorbed by the
 // restored dedup state rather than re-applied, and each entry's payload is
-// reused as decoded instead of re-encoded. Entries in the legacy gob format
-// are decoded transparently alongside binary ones.
+// reused as decoded instead of re-encoded. An entry that does not start with
+// binaryEntryMagic fails the replay, naming its sequence number.
 func (j *Journal) Replay(s *Server) (int, error) {
 	boundary := j.snapshotted()
 	type pending struct {
@@ -200,28 +189,21 @@ func (j *Journal) Replay(s *Server) (int, error) {
 		if seq <= boundary {
 			return true
 		}
-		if len(val) >= len(binaryEntryMagic)+4 && bytes.HasPrefix(val, binaryEntryMagic[:]) {
-			from := binary.LittleEndian.Uint32(val[len(binaryEntryMagic):])
-			// Copy the payload out of the store's buffer, then alias the
-			// copy: the EncodedBatch owns its bytes and no re-encode is
-			// needed if this replayed push is journaled or forwarded again.
-			payload := append([]byte(nil), val[len(binaryEntryMagic)+4:]...)
-			b, err := wire.DecodeBatchPayload(payload, true)
-			if err != nil {
-				decodeErr = fmt.Errorf("journal entry %d: %w", seq, err)
-				return false
-			}
-			entries = append(entries, pending{seq: seq, from: from, eb: wire.NewEncodedBatchRaw(b, payload)})
-			return true
+		if len(val) < len(binaryEntryMagic)+4 || !bytes.HasPrefix(val, binaryEntryMagic[:]) {
+			decodeErr = fmt.Errorf("journal entry %d: missing entry magic", seq)
+			return false
 		}
-		var e journalEntry
-		if err := gob.NewDecoder(bytes.NewReader(val)).Decode(&e); err != nil {
+		from := binary.LittleEndian.Uint32(val[len(binaryEntryMagic):])
+		// Copy the payload out of the store's buffer, then alias the copy:
+		// the EncodedBatch owns its bytes and no re-encode is needed if this
+		// replayed push is journaled or forwarded again.
+		payload := append([]byte(nil), val[len(binaryEntryMagic)+4:]...)
+		b, err := wire.DecodeBatchPayload(payload, true)
+		if err != nil {
 			decodeErr = fmt.Errorf("journal entry %d: %w", seq, err)
 			return false
 		}
-		if e.Batch != nil {
-			entries = append(entries, pending{seq: seq, from: e.From, eb: wire.NewEncodedBatch(e.Batch)})
-		}
+		entries = append(entries, pending{seq: seq, from: from, eb: wire.NewEncodedBatchRaw(b, payload)})
 		return true
 	})
 	if err != nil {

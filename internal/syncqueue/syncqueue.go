@@ -116,10 +116,10 @@ type group struct {
 }
 
 // Queue is the Sync Queue. It is not safe for concurrent use; the engine
-// serializes access. (The paper builds it on a lock-free queue so the FUSE
-// threads never block; internal/lockfree provides that primitive, and the
-// concurrent client engine uses it for op handoff — the queue bookkeeping
-// itself is single-threaded either way.)
+// serializes access under its own mutex. (The paper builds it on a
+// lock-free queue so the FUSE threads never block; here intercepted ops
+// reach the queue under the engine lock, and the queue bookkeeping itself
+// is single-threaded either way.)
 type Queue struct {
 	delay time.Duration
 

@@ -12,16 +12,12 @@ import (
 	"repro/internal/version"
 )
 
-// The binary wire codec. gob's reflection and per-message type descriptors
-// dominate the per-request CPU and allocation cost past a few thousand
-// clients, so the hot path speaks a hand-rolled, length-prefixed
-// little-endian format instead: one frame per message, one allocation per
-// push (the frame buffer itself, which the decoded batch aliases and the
-// server then retains for the journal and forwarding fan-out — encode once,
-// reuse everywhere). gob remains the fallback codec and the cross-version
-// oracle: a connection's codec is negotiated by a magic preamble the client
-// sends after connect (negotiation lives in transport.go), and every message
-// has the same meaning in both codecs.
+// The wire codec: a hand-rolled, length-prefixed little-endian format with
+// one frame per message and one allocation per push (the frame buffer
+// itself, which the decoded batch aliases and the server then retains for
+// the journal and forwarding fan-out — encode once, reuse everywhere). A
+// client opens every connection with the codecMagic preamble, which the
+// server checks once before the first frame (transport.go).
 //
 // Frame layout (all integers little-endian):
 //
@@ -44,15 +40,13 @@ import (
 // truncated frames, counts past the buffer) must die here, not in an
 // allocator or an index expression.
 
-// BinaryCodecVersion is the negotiated frame-format version carried in the
-// codec magic. Bump it when the payload layout changes incompatibly; the
-// server rejects versions it does not speak and the client falls back to gob.
+// BinaryCodecVersion is the frame-format version carried in the codec
+// magic. Bump it when the payload layout changes incompatibly; the server
+// closes any connection whose preamble carries a version it does not speak,
+// so mismatched peers fail at dial instead of misparsing each other.
 const BinaryCodecVersion = 1
 
-// codecMagic is the preamble a binary-codec client sends immediately after
-// connect. The first byte is 0x00, which can never begin a gob stream (gob
-// frames a message with a uvarint byte count ≥ 1), so a server can sniff the
-// codec from a single peeked byte without consuming the stream.
+// codecMagic is the preamble a client sends immediately after connect.
 var codecMagic = [4]byte{0x00, 'D', 'C', BinaryCodecVersion}
 
 // MaxFrameSize bounds one frame's payload. Large enough for a whole-file
@@ -85,7 +79,7 @@ const (
 // batchEncodes counts binary batch-payload encodes process-wide. The
 // single-encode discipline is asserted by tests as a delta on this counter:
 // a push journaled and fanned out to N peers must cost at most one encode
-// (zero when the batch arrived over the binary transport, whose decode
+// (zero when the batch arrived over the transport, whose decode
 // retains the wire bytes).
 var batchEncodes atomic.Int64
 
@@ -96,10 +90,10 @@ func BatchEncodes() int64 { return batchEncodes.Load() }
 // EncodedBatch pairs a decoded batch with its binary wire payload, encoded
 // at most once and shared — immutably — by everything downstream of a push:
 // the journal appends these exact bytes, every sharing peer's outbox holds
-// this same value, and binary poll responses splice the bytes verbatim.
-// Batches that arrive over the binary transport are born with their payload
-// (the decoder aliases the frame buffer, so the encode count is zero);
-// batches from gob peers or in-process callers encode lazily on first use.
+// this same value, and poll responses splice the bytes verbatim.
+// Batches that arrive over the transport are born with their payload (the
+// decoder aliases the frame buffer, so the encode count is zero); batches
+// from in-process callers encode lazily on first use.
 //
 // The contract is immutability: neither the Batch nor the payload may be
 // mutated after construction. The server's apply path copies extent/chunk

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -45,7 +43,7 @@ var benchSizes = []struct {
 func BenchmarkCodecEncode(b *testing.B) {
 	for _, sz := range benchSizes {
 		batch := benchBatch(sz.nodes, sz.bytes)
-		b.Run("binary/"+sz.name, func(b *testing.B) {
+		b.Run(sz.name, func(b *testing.B) {
 			buf := AppendBatch(nil, batch)
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
@@ -54,20 +52,6 @@ func BenchmarkCodecEncode(b *testing.B) {
 				buf = AppendBatch(buf[:0], batch)
 			}
 		})
-		b.Run("gob/"+sz.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				// A fresh encoder per message mirrors what the wire does for
-				// a request: the per-message cost is what the hot path pays.
-				if err := gob.NewEncoder(&buf).Encode(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(buf.Len()))
-		})
 	}
 }
 
@@ -75,28 +59,12 @@ func BenchmarkCodecDecode(b *testing.B) {
 	for _, sz := range benchSizes {
 		batch := benchBatch(sz.nodes, sz.bytes)
 		raw := AppendBatch(nil, batch)
-		var gobBuf bytes.Buffer
-		if err := gob.NewEncoder(&gobBuf).Encode(batch); err != nil {
-			b.Fatal(err)
-		}
-		gobRaw := gobBuf.Bytes()
-		b.Run("binary/"+sz.name, func(b *testing.B) {
+		b.Run(sz.name, func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := DecodeBatchPayload(raw, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("gob/"+sz.name, func(b *testing.B) {
-			b.SetBytes(int64(len(gobRaw)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var out Batch
-				if err := gob.NewDecoder(bytes.NewReader(gobRaw)).Decode(&out); err != nil {
 					b.Fatal(err)
 				}
 			}

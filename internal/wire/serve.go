@@ -18,7 +18,7 @@ import (
 // pool of workers, one of which runs the request loop until the connection
 // goes quiet again and re-arms it. EPOLLONESHOT guarantees a connection is
 // owned by at most one worker at a time, preserving the strict
-// request/response framing of the gob stream.
+// request/response pairing of the connection's frame stream.
 //
 // Connections the poller cannot multiplex — TLS and fault-injection
 // wrappers (their net.Conn hides the descriptor and carries decryption
@@ -143,12 +143,11 @@ func (s *serveState) admitPolled(tc *net.TCPConn) error {
 	if err := raw.Control(func(f uintptr) { fd = int32(f) }); err != nil {
 		return err
 	}
-	br := bufio.NewReader(tc)
 	pc := &polledConn{
 		srv:  s,
 		conn: tc,
 		fd:   fd,
-		cc:   newConnCodec(tc, br, s.cfg.ForceGob),
+		cc:   &connCodec{conn: tc, br: bufio.NewReader(tc)},
 	}
 	pc.lastActive.Store(time.Now().UnixNano())
 	return s.poller.add(pc)
@@ -170,8 +169,10 @@ func (s *serveState) worker() {
 
 // dispatchLoop drains the poller and hands ready connections to the
 // workers. A full work channel applies backpressure to the poller (events
-// are one-shot, so nothing re-fires while waiting).
+// are one-shot, so nothing re-fires while waiting). It is the poller's only
+// waiter, so it releases the poller's descriptors when it returns.
 func (s *serveState) dispatchLoop() {
+	defer s.poller.release()
 	for {
 		ready, err := s.poller.wait()
 		if err != nil {
@@ -230,16 +231,19 @@ func (s *serveState) connClosed() {
 
 func (s *serveState) stop() {
 	s.stopOnce.Do(func() {
-		close(s.quit)
+		// Wake the poller before closing quit: the dispatch loop releases
+		// the pipe's read end only after the wake event or quit, so the
+		// wake byte always goes into an open pipe.
 		if s.poller != nil {
 			s.poller.close()
 		}
+		close(s.quit)
 	})
 }
 
 // polledConn is one multiplexed connection: its descriptor is registered
-// with the poller; its codec state (negotiated mode, buffered reader,
-// resumable decoder) lives here between wakeups.
+// with the poller; its codec state (preamble check, buffered reader) lives
+// here between wakeups.
 type polledConn struct {
 	srv   *serveState
 	conn  *net.TCPConn

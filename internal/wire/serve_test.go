@@ -2,12 +2,19 @@ package wire
 
 import (
 	"crypto/tls"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/version"
 )
 
 // Bounded transport: on Linux, plain-TCP connections are multiplexed onto
@@ -129,5 +136,160 @@ func TestServeTLSFallsBack(t *testing.T) {
 	}
 	if got := stats.Polled(); got != 0 {
 		t.Fatalf("Polled = %d, want 0", got)
+	}
+}
+
+// countingBackend counts every call the transport makes into it.
+type countingBackend struct{ calls atomic.Int64 }
+
+func (b *countingBackend) RegisterGroup(uint32) uint32 { b.calls.Add(1); return 1 }
+func (b *countingBackend) Attach(uint32)               { b.calls.Add(1) }
+func (b *countingBackend) PushEncoded(uint32, *EncodedBatch) *PushReply {
+	b.calls.Add(1)
+	return &PushReply{}
+}
+func (b *countingBackend) Fetch(string) *FetchReply { b.calls.Add(1); return &FetchReply{} }
+func (b *countingBackend) Head(string) (version.ID, bool) {
+	b.calls.Add(1)
+	return version.ID{}, false
+}
+func (b *countingBackend) FetchRange(string, int64, int64) ([]byte, error) {
+	b.calls.Add(1)
+	return nil, nil
+}
+func (b *countingBackend) PollEncoded(uint32) []*EncodedBatch { b.calls.Add(1); return nil }
+
+// gobRequestOpening is the first message a gob encoder writes for the
+// transport's request type — the type descriptor that opens every stream
+// of a gob-speaking peer.
+var gobRequestOpening, _ = hex.DecodeString("4e7f030101077265717565737401ff8000010701024f70010c000106436c69656e74010600010547726f757001060001014201ff8200010450617468010c0001034f666601040001014e0104000000")
+
+// The server reads the codecMagic preamble once per connection and closes
+// the connection on anything else — a gob stream, or a preamble carrying
+// another codec version followed by a well-formed register frame — before
+// a single request reaches the backend. Both the polled path and the TLS
+// fallback path enforce it.
+func TestServeRefusesForeignPreamble(t *testing.T) {
+	serverConf, clientConf, err := SelfSignedTLS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherVersion := codecMagic
+	otherVersion[3]++
+	register := beginFrame(nil)
+	register, err = appendRequest(register, &request{Op: "register"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := finishFrame(register, 0); err != nil {
+		t.Fatal(err)
+	}
+	openings := []struct {
+		name  string
+		bytes []byte
+	}{
+		{"gob", gobRequestOpening},
+		{"other-version", append(otherVersion[:], register...)},
+	}
+	for _, useTLS := range []bool{false, true} {
+		for _, op := range openings {
+			t.Run(fmt.Sprintf("tls=%v/%s", useTLS, op.name), func(t *testing.T) {
+				lis := mustListen(t)
+				defer lis.Close()
+				served := lis
+				if useTLS {
+					served = tls.NewListener(lis, serverConf)
+				}
+				stats := &ServeStats{}
+				backend := &countingBackend{}
+				go ServeWith(served, backend, ServeConfig{Stats: stats})
+
+				conn, err := net.DialTimeout("tcp", lis.Addr().String(), 5*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(10 * time.Second))
+				if useTLS {
+					tc := tls.Client(conn, clientConf)
+					if err := tc.Handshake(); err != nil {
+						t.Fatal(err)
+					}
+					conn = tc
+				}
+				if _, err := conn.Write(op.bytes); err != nil {
+					t.Fatal(err)
+				}
+				var buf [64]byte
+				n, err := conn.Read(buf[:])
+				if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("read after foreign preamble = %d bytes, %v; want the server to close the connection", n, err)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for stats.Conns() != 0 {
+					if time.Now().After(deadline) {
+						t.Fatalf("Conns = %d after refusal, want 0", stats.Conns())
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if got := backend.calls.Load(); got != 0 {
+					t.Fatalf("backend saw %d calls from a refused connection", got)
+				}
+				if useTLS && stats.Fallback() != 1 {
+					t.Fatalf("Fallback = %d, want 1", stats.Fallback())
+				}
+				if !useTLS && runtime.GOOS == "linux" && stats.Polled() != 1 {
+					t.Fatalf("Polled = %d, want 1", stats.Polled())
+				}
+			})
+		}
+	}
+}
+
+// dispatchLoops counts live goroutines inside serveState.dispatchLoop.
+func dispatchLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*serveState).dispatchLoop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// A stopped ServeWith must release its readiness poller: once the listener
+// is closed and the last connection is gone, the dispatch goroutine — and
+// with it the backend it references — has to exit.
+func TestServeWithStopReleasesPoller(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("no readiness poller on this platform")
+	}
+	before := dispatchLoops()
+	const servers = 20
+	for i := 0; i < servers; i++ {
+		lis := mustListen(t)
+		done := make(chan error, 1)
+		go func() { done <- ServeWith(lis, newFakeBackend(), ServeConfig{Workers: 1}) }()
+		c, err := DialWith(lis.Addr().String(), DialOpts{OpTimeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		lis.Close()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		leaked := dispatchLoops() - before
+		if leaked <= 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d stopped servers still run their dispatch loop", leaked, servers)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
