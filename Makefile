@@ -17,9 +17,11 @@ test:
 race:
 	$(GO) test -race -count=1 -timeout 20m ./...
 
-# go vet plus the project invariant analyzers (cmd/deltavet).
+# go vet, the analyzers' own tests under the race detector (the CI lint
+# job's self-check), then the project invariant analyzers (cmd/deltavet).
 lint:
 	$(GO) vet ./...
+	$(GO) test -race -count=1 ./internal/analysis/... ./cmd/deltavet/
 	$(GO) run ./cmd/deltavet ./...
 
 bench:

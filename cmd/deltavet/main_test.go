@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,6 +79,54 @@ func TestFlagsBadFixture(t *testing.T) {
 
 // TestJSONOutput checks the -json mode round-trips the same findings as a
 // machine-readable array (the CI artifact format).
+// TestGoldenBadFixture pins the bad fixture's complete finding set —
+// position, analyzer, message and witness chain, duplicates included —
+// against testdata/badpkg_findings.golden.json. The substring checks above
+// would not notice an analyzer change that rewrites a witness chain or
+// drops one of two findings at the same site.
+func TestGoldenBadFixture(t *testing.T) {
+	var out, errb strings.Builder
+	code := run([]string{"-allow", os.DevNull, "-json", "./testdata/src/badpkg/internal/server"}, ".", &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, errb.String())
+	}
+	var got, want []jsonDiag
+	if err := json.Unmarshal([]byte(out.String()), &got); err != nil {
+		t.Fatalf("-json output is not valid JSON: %v", err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		rel, err := filepath.Rel(wd, got[i].File)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i].File = filepath.ToSlash(rel)
+	}
+	golden, err := os.ReadFile("testdata/badpkg_findings.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatalf("golden file: %v", err)
+	}
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	for i := 0; i < len(got) || i < len(want); i++ {
+		switch {
+		case i >= len(got):
+			t.Errorf("missing finding: %+v", want[i])
+		case i >= len(want):
+			t.Errorf("extra finding: %+v", got[i])
+		case got[i] != want[i]:
+			t.Errorf("finding %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestJSONOutput(t *testing.T) {
 	var out, errb strings.Builder
 	code := run([]string{"-json", "./testdata/src/badpkg/internal/server"}, ".", &out, &errb)

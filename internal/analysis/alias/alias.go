@@ -29,8 +29,10 @@ package alias
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 
 	"repro/internal/analysis/callgraph"
+	"repro/internal/analysis/cfg"
 )
 
 // Seed is one tracked value origin inside a function.
@@ -160,28 +162,48 @@ func Track(info *types.Info, body ast.Node, seedObjs map[types.Object]*Seed, see
 		return true
 	})
 
-	// Fixpoint: propagate seeds across edges until stable. Bidirectional —
-	// `x := seed; y := x` tags both, and `pub := fresh; p.Store(pub)`
-	// followed by clients asking about `fresh` works too.
-	for changed := true; changed; {
-		changed = false
-		for _, e := range edges {
-			for _, s := range t.exprSeedsAt(e.rhs, classify, e.pos) {
-				if t.tag(e.lhs, s) {
+	// Propagate seeds across edges until stable. Bidirectional — `x :=
+	// seed; y := x` tags both, and `pub := fresh; p.Store(pub)` followed by
+	// clients asking about `fresh` works too. An edge reads its LHS and the
+	// objects its RHS mentions, and writes its LHS and its RHS root.
+	writers := make(map[types.Object][]edge)
+	for _, e := range edges {
+		writers[e.lhs] = append(writers[e.lhs], e)
+		if root := rootObj(info, e.rhs); root != nil {
+			writers[root] = append(writers[root], e)
+		}
+	}
+	cfg.Solve(edges, func(e edge) []edge {
+		deps := append([]edge(nil), writers[e.lhs]...)
+		ast.Inspect(e.rhs, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				obj := info.Uses[id]
+				if obj == nil {
+					obj = info.Defs[id]
+				}
+				deps = append(deps, writers[obj]...)
+			}
+			return true
+		})
+		return deps
+	}, func(e edge) bool {
+		changed := false
+		for _, s := range t.exprSeedsAt(e.rhs, classify, e.pos) {
+			if t.tag(e.lhs, s) {
+				changed = true
+			}
+		}
+		// Backward: the RHS root object aliases whatever the LHS holds
+		// (value identity runs both ways for pointers and slices).
+		if root := rootObj(info, e.rhs); root != nil {
+			for s := range t.objs[e.lhs] {
+				if t.tag(root, s) {
 					changed = true
 				}
 			}
-			// Backward: the RHS root object aliases whatever the LHS holds
-			// (value identity runs both ways for pointers and slices).
-			if root := rootObj(info, e.rhs); root != nil {
-				for s := range t.objs[e.lhs] {
-					if t.tag(root, s) {
-						changed = true
-					}
-				}
-			}
 		}
-	}
+		return changed
+	})
 	return t
 }
 
@@ -385,34 +407,33 @@ func Params(g *callgraph.Graph, direct func(fi *FuncInfo) map[int]string) *Summa
 	}
 
 	// Callee-to-caller fixpoint with witness chains.
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes() {
-			po := paramOf[n]
-			if po == nil {
+	cfg.Solve(g.Nodes(), (*callgraph.Node).Callees, func(n *callgraph.Node) bool {
+		po := paramOf[n]
+		if po == nil {
+			return false
+		}
+		changed := false
+		for _, e := range n.Out {
+			calleeProps := sum.m[e.Callee.Func]
+			if len(calleeProps) == 0 {
 				continue
 			}
-			for _, e := range n.Out {
-				calleeProps := sum.m[e.Callee.Func]
-				if len(calleeProps) == 0 {
+			args := LinearArgs(n.Src.Info, e.Site)
+			for j, w := range calleeProps {
+				if j >= len(args) || args[j] == nil {
 					continue
 				}
-				args := LinearArgs(n.Src.Info, e.Site)
-				for j, w := range calleeProps {
-					if j >= len(args) || args[j] == nil {
-						continue
-					}
-					k := po(args[j])
-					if k < 0 || sum.m[n.Func][k] != nil {
-						continue
-					}
-					chain := append([]*types.Func{e.Callee.Func}, w.Chain...)
-					sum.set(n.Func, k, &Witness{Why: w.Why, Chain: chain})
-					changed = true
+				k := po(args[j])
+				if k < 0 || sum.m[n.Func][k] != nil {
+					continue
 				}
+				chain := append([]*types.Func{e.Callee.Func}, w.Chain...)
+				sum.set(n.Func, k, &Witness{Why: w.Why, Chain: chain})
+				changed = true
 			}
 		}
-	}
+		return changed
+	})
 	return sum
 }
 
@@ -462,59 +483,57 @@ func LinearArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
 // The result maps each such function to a short description of the origin.
 func ReturnsTracked(g *callgraph.Graph, isTracked func(info *types.Info, e ast.Expr) string) map[*types.Func]string {
 	out := make(map[*types.Func]string)
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes() {
-			if n.Decl == nil || n.Decl.Body == nil || n.Src == nil || out[n.Func] != "" {
-				continue
-			}
-			info := n.Src.Info
-			// One memo shared by Track's fixpoint and the return-statement
-			// query below, so both see the identical Seed instances.
-			memo := make(map[ast.Expr]*Seed)
-			done := make(map[ast.Expr]bool)
-			seedOf := func(e ast.Expr) *Seed {
-				if done[e] {
-					return memo[e]
-				}
-				var s *Seed
-				if why := isTracked(info, e); why != "" {
-					s = &Seed{Expr: e, Tag: why}
-				} else if call, ok := e.(*ast.CallExpr); ok {
-					if fn := calleeFunc(info, call); fn != nil && out[fn] != "" {
-						s = &Seed{Expr: e, Tag: out[fn]}
-					}
-				}
-				done[e], memo[e] = true, s
-				return s
-			}
-			tr := Track(info, n.Decl.Body, nil, seedOf)
-			why := ""
-			ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-				if why != "" {
-					return false
-				}
-				if _, ok := x.(*ast.FuncLit); ok {
-					return false
-				}
-				ret, ok := x.(*ast.ReturnStmt)
-				if !ok {
-					return true
-				}
-				for _, r := range ret.Results {
-					if ss := tr.exprSeedsAt(r, seedOf, 0); len(ss) > 0 {
-						why = ss[0].Tag
-						break
-					}
-				}
-				return true
-			})
-			if why != "" {
-				out[n.Func] = why
-				changed = true
-			}
+	cfg.Solve(g.Nodes(), (*callgraph.Node).Callees, func(n *callgraph.Node) bool {
+		if n.Decl == nil || n.Decl.Body == nil || n.Src == nil || out[n.Func] != "" {
+			return false
 		}
-	}
+		info := n.Src.Info
+		// One memo shared by Track's fixpoint and the return-statement
+		// query below, so both see the identical Seed instances.
+		memo := make(map[ast.Expr]*Seed)
+		done := make(map[ast.Expr]bool)
+		seedOf := func(e ast.Expr) *Seed {
+			if done[e] {
+				return memo[e]
+			}
+			var s *Seed
+			if why := isTracked(info, e); why != "" {
+				s = &Seed{Expr: e, Tag: why}
+			} else if call, ok := e.(*ast.CallExpr); ok {
+				if fn := calleeFunc(info, call); fn != nil && out[fn] != "" {
+					s = &Seed{Expr: e, Tag: out[fn]}
+				}
+			}
+			done[e], memo[e] = true, s
+			return s
+		}
+		tr := Track(info, n.Decl.Body, nil, seedOf)
+		why := ""
+		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			if why != "" {
+				return false
+			}
+			if _, ok := x.(*ast.FuncLit); ok {
+				return false
+			}
+			ret, ok := x.(*ast.ReturnStmt)
+			if !ok {
+				return true
+			}
+			for _, r := range ret.Results {
+				if ss := tr.exprSeedsAt(r, seedOf, 0); len(ss) > 0 {
+					why = ss[0].Tag
+					break
+				}
+			}
+			return true
+		})
+		if why == "" {
+			return false
+		}
+		out[n.Func] = why
+		return true
+	})
 	return out
 }
 
@@ -532,4 +551,47 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
+}
+
+// ---- must-release obligations ----
+
+// Obligation is one seed's state in a must-release analysis: poolsafe's
+// "Put on every path" and leakcheck's "closed on every path".
+type Obligation uint8
+
+const (
+	// Unacquired: not acquired on this path yet. The lattice's top and the
+	// join's identity.
+	Unacquired Obligation = iota
+	// Owed: acquired, release still owed.
+	Owed
+	// Released: the obligation is discharged.
+	Released
+)
+
+// Obligations maps seeds to their obligation; an absent seed is
+// Unacquired. A transfer clones its input before applying events.
+type Obligations map[*Seed]Obligation
+
+// ObligationLattice is the must-release lattice: a seed released on one
+// path and still owed on another is owed at the join.
+var ObligationLattice = cfg.Lattice[Obligations]{
+	Join: func(a, b Obligations) Obligations {
+		if len(a) == 0 {
+			return b
+		}
+		if len(b) == 0 {
+			return a
+		}
+		out := maps.Clone(a)
+		for s, v := range b {
+			if cur := out[s]; cur == Unacquired {
+				out[s] = v
+			} else if cur != v {
+				out[s] = Owed
+			}
+		}
+		return out
+	},
+	Equal: maps.Equal[Obligations, Obligations],
 }

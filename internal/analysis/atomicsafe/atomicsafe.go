@@ -38,6 +38,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 
 	"repro/internal/analysis"
@@ -288,7 +289,6 @@ func checkPublish(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 	// Publish-then-mutate: forward may-analysis over the CFG — the set of
 	// publish seeds that may already have been stored at each point.
 	g := pass.Prog.CFG(fd)
-	reach := g.Reachable()
 	post := g.Postorder()
 
 	pubSeedAt := func(n ast.Node) []*alias.Seed {
@@ -306,35 +306,15 @@ func checkPublish(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 		return out
 	}
 
-	in := make(map[*cfg.Block]map[*alias.Seed]bool)
-	out := make(map[*cfg.Block]map[*alias.Seed]bool)
-	for changed := true; changed; {
-		changed = false
-		for i := len(post) - 1; i >= 0; i-- {
-			b := post[i]
-			s := make(map[*alias.Seed]bool)
-			for _, p := range b.Preds {
-				if reach[p] {
-					for k := range out[p] {
-						s[k] = true
-					}
-				}
-			}
-			o := make(map[*alias.Seed]bool, len(s))
-			for k := range s {
+	in := cfg.Forward(g, cfg.Union[*alias.Seed](), map[*alias.Seed]bool{}, func(b *cfg.Block, in map[*alias.Seed]bool) map[*alias.Seed]bool {
+		o := maps.Clone(in)
+		for _, n := range b.Nodes {
+			for _, k := range pubSeedAt(n) {
 				o[k] = true
 			}
-			for _, n := range b.Nodes {
-				for _, k := range pubSeedAt(n) {
-					o[k] = true
-				}
-			}
-			if !sameSet(in[b], s) || !sameSet(out[b], o) {
-				in[b], out[b] = s, o
-				changed = true
-			}
 		}
-	}
+		return o
+	}).In
 
 	// Report: replay each block; a mutation through a published seed that is
 	// in the running set fires.
@@ -362,18 +342,6 @@ func checkPublish(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 			}
 		}
 	}
-}
-
-func sameSet(a, b map[*alias.Seed]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 func chainSuffix(w *alias.Witness) string {

@@ -21,6 +21,8 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+
+	"repro/internal/analysis/cfg"
 )
 
 // Source is one analyzed package: the parsed files plus type information.
@@ -130,6 +132,16 @@ func (g *Graph) Node(fn *types.Func) *Node {
 
 // Nodes returns every node in deterministic order.
 func (g *Graph) Nodes() []*Node { return g.order }
+
+// Callees returns the callee of each of n's out-edges, in edge order: the
+// dependencies of a callee-to-caller fixpoint.
+func (n *Node) Callees() []*Node {
+	out := make([]*Node, len(n.Out))
+	for i, e := range n.Out {
+		out[i] = e.Callee
+	}
+	return out
+}
 
 // CalleesAt returns the possible callees of a call site as resolved during
 // Build: a single static target, or the CHA expansion of an interface
@@ -258,7 +270,8 @@ func (w *Witness) Chain() string {
 // holds on it directly (direct returns a non-empty reason) or on any
 // transitive callee, skipping edges for which skip returns true. The
 // result maps each function with the property to a witness; functions
-// without it are absent. Runs a fixpoint, so cycles are handled.
+// without it are absent. Runs on cfg.Solve in insertion order, so cycles
+// are handled and a property, once found, keeps its first witness.
 func (g *Graph) Transitive(direct func(*Node) string, skip func(*Edge) bool) map[*types.Func]*Witness {
 	out := make(map[*types.Func]*Witness)
 	for _, n := range g.order {
@@ -266,28 +279,25 @@ func (g *Graph) Transitive(direct func(*Node) string, skip func(*Edge) bool) map
 			out[n.Func] = &Witness{Why: why}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.order {
-			if out[n.Func] != nil {
+	cfg.Solve(g.order, (*Node).Callees, func(n *Node) bool {
+		if out[n.Func] != nil {
+			return false
+		}
+		for _, e := range n.Out {
+			if skip != nil && skip(e) {
 				continue
 			}
-			for _, e := range n.Out {
-				if skip != nil && skip(e) {
-					continue
-				}
-				cw := out[e.Callee.Func]
-				if cw == nil {
-					continue
-				}
-				path := make([]*types.Func, 0, len(cw.Path)+1)
-				path = append(path, e.Callee.Func)
-				path = append(path, cw.Path...)
-				out[n.Func] = &Witness{Why: cw.Why, Path: path}
-				changed = true
-				break
+			cw := out[e.Callee.Func]
+			if cw == nil {
+				continue
 			}
+			path := make([]*types.Func, 0, len(cw.Path)+1)
+			path = append(path, e.Callee.Func)
+			path = append(path, cw.Path...)
+			out[n.Func] = &Witness{Why: cw.Why, Path: path}
+			return true
 		}
-	}
+		return false
+	})
 	return out
 }

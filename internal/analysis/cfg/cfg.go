@@ -4,9 +4,10 @@
 // that gate branches) in source order, and edges follow Go's structured
 // control flow — if/else, for, range, switch, type switch, select, labeled
 // break/continue, goto, return, and panic. Analyzers walk the block node
-// lists to classify events (an fsync, a rename, a WAL append) and run small
-// bitvector fixpoints over the edges; see internal/analysis/crashsafe for
-// the canonical client.
+// lists to classify events (an fsync, a rename, a WAL append) and solve
+// dataflow problems over the edges with Forward and Backward, which run on
+// the package's one fixpoint engine, Solve; see internal/analysis/crashsafe
+// for the canonical client.
 //
 // Soundness notes: panic and runtime.Goexit terminate a path (edge to the
 // synthetic exit block), so code after them is treated as unreachable.
@@ -84,19 +85,6 @@ func (g *Graph) Postorder() []*Block {
 	}
 	visit(g.Entry)
 	return out
-}
-
-// Reachable returns the set of blocks reachable from entry. Dataflow
-// consumers must meet only over reachable predecessors: structurally dead
-// blocks (the exit of a condition-less for loop with no break, code after
-// a return) otherwise leak a bogus "nothing has happened yet" state into
-// join points.
-func (g *Graph) Reachable() map[*Block]bool {
-	set := make(map[*Block]bool, len(g.Blocks))
-	for _, b := range g.Postorder() {
-		set[b] = true
-	}
-	return set
 }
 
 // String renders the graph for debugging and tests.

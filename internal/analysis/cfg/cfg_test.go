@@ -53,42 +53,17 @@ func callNames(b *Block) []string {
 // forward must-dataflow shape crashsafe runs; exercising it here proves the
 // graph's edges support it.
 func mustPrecede(g *Graph, required, target string) bool {
-	// in[b] = true iff "required" has definitely happened on entry to b;
+	// In[b] = true iff "required" has definitely happened on entry to b;
 	// meet is AND over reachable predecessors.
-	reach := g.Reachable()
-	in := make(map[*Block]bool)
-	out := make(map[*Block]bool)
-	post := g.Postorder()
-	for i := 0; i < len(post)+2; i++ {
-		changed := false
-		for j := len(post) - 1; j >= 0; j-- {
-			b := post[j]
-			v := b != g.Entry
-			for _, p := range b.Preds {
-				if reach[p] && !out[p] {
-					v = false
-					break
-				}
-			}
-			if b == g.Entry {
-				v = false
-			}
-			cur := v
-			for _, n := range callNames(b) {
-				if n == required {
-					cur = true
-				}
-			}
-			if in[b] != v || out[b] != cur {
-				in[b], out[b] = v, cur
-				changed = true
+	in := Forward(g, mustLattice, false, func(b *Block, done bool) bool {
+		for _, n := range callNames(b) {
+			if n == required {
+				return true
 			}
 		}
-		if !changed {
-			break
-		}
-	}
-	for _, b := range post {
+		return done
+	}).In
+	for _, b := range g.Postorder() {
 		cur := in[b]
 		for _, n := range callNames(b) {
 			if n == target && !cur {

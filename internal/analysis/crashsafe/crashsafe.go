@@ -180,16 +180,13 @@ func transfer(s state, e ev) state {
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, fact *syncFact) {
 	g := pass.Prog.CFG(fd)
-	reach := g.Reachable()
+	post := g.Postorder()
 	tmpObjs := collectTmpObjs(pass.TypesInfo, fd)
 
-	// Classify events per block, in node order.
+	// Classify events per reachable block, in node order.
 	evmap := make(map[*cfg.Block][]ev)
 	anyEvents, anyDirSync := false, false
-	for _, b := range g.Blocks {
-		if !reach[b] {
-			continue
-		}
+	for _, b := range post {
 		var evs []ev
 		for _, n := range b.Nodes {
 			evs = append(evs, classify(pass, n, fact, tmpObjs)...)
@@ -206,61 +203,31 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, fact *syncFact) {
 		return
 	}
 
-	// Forward fixpoint over the state tuple.
-	post := g.Postorder()
-	in := make(map[*cfg.Block]state)
-	out := make(map[*cfg.Block]state)
-	optimistic := state{mustSync: true, mustWAL: true}
-	for _, b := range post {
-		in[b], out[b] = optimistic, optimistic
-	}
-	in[g.Entry] = state{}
-	for changed := true; changed; {
-		changed = false
-		for i := len(post) - 1; i >= 0; i-- {
-			b := post[i]
-			s := optimistic
-			if b == g.Entry {
-				s = state{}
-			}
-			for _, p := range b.Preds {
-				if reach[p] {
-					s = meet(s, out[p])
-				}
-			}
-			o := s
-			for _, e := range evmap[b] {
-				o = transfer(o, e)
-			}
-			if in[b] != s || out[b] != o {
-				in[b], out[b] = s, o
-				changed = true
-			}
+	// Forward over the state tuple; the optimistic state (both must bits
+	// set, both may bits clear) is the meet's identity.
+	in := cfg.Forward(g, cfg.Lattice[state]{
+		Identity: state{mustSync: true, mustWAL: true},
+		Join:     meet,
+		Equal:    func(a, b state) bool { return a == b },
+	}, state{}, func(b *cfg.Block, s state) state {
+		for _, e := range evmap[b] {
+			s = transfer(s, e)
 		}
-	}
+		return s
+	}).In
 
-	// Backward "WAL append ahead" bit.
-	aheadIn := make(map[*cfg.Block]bool)
-	for changed := true; changed; {
-		changed = false
-		for _, b := range post {
-			ahead := false
-			for _, sc := range b.Succs {
-				if aheadIn[sc] {
-					ahead = true
-				}
-			}
-			for _, e := range evmap[b] {
-				if e.kind == evWALAppend {
-					ahead = true
-				}
-			}
-			if aheadIn[b] != ahead {
-				aheadIn[b] = ahead
-				changed = true
+	// Backward "WAL append ahead" bit: Out[b] holds at the start of b.
+	aheadIn := cfg.Backward(g, cfg.Lattice[bool]{
+		Join:  func(a, b bool) bool { return a || b },
+		Equal: func(a, b bool) bool { return a == b },
+	}, false, func(b *cfg.Block, ahead bool) bool {
+		for _, e := range evmap[b] {
+			if e.kind == evWALAppend {
+				return true
 			}
 		}
-	}
+		return ahead
+	}).Out
 
 	// Report pass: replay each block with converged entry state.
 	for _, b := range post {

@@ -28,6 +28,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/alias"
@@ -495,7 +496,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 
 	g := pass.Prog.CFG(fd)
 	post := g.Postorder()
-	reach := g.Reachable()
 	evmap := make(map[*cfg.Block][]*events)
 	for _, b := range post {
 		evs := make([]*events, len(b.Nodes))
@@ -505,102 +505,34 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 		evmap[b] = evs
 	}
 
-	// Must-analysis: TOP not acquired / ACQ owed / REL discharged.
-	const (
-		top = 0
-		acq = 1
-		rel = 2
-	)
-	meet := func(a, b int) int {
-		if a == top {
-			return b
-		}
-		if b == top {
-			return a
-		}
-		if a == b {
-			return a
-		}
-		return acq
-	}
-	type state map[*alias.Seed]int
-	in := make(map[*cfg.Block]state)
-	out := make(map[*cfg.Block]state)
-	apply := func(st state, ev *events) {
+	// Must-analysis: a resource still Owed at exit leaks on some path.
+	apply := func(st alias.Obligations, ev *events) {
 		for s := range ev.acquired {
-			st[s] = acq
+			st[s] = alias.Owed
 		}
-		for s := range ev.deferRel {
-			st[s] = rel
-		}
-		for s := range ev.released {
-			st[s] = rel
-		}
-		for s := range ev.transfer {
-			st[s] = rel
-		}
-	}
-	sameState := func(a, b state) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k, v := range a {
-			if b[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := len(post) - 1; i >= 0; i-- {
-			b := post[i]
-			st := state{}
-			first := true
-			for _, p := range b.Preds {
-				if !reach[p] {
-					continue
-				}
-				if first {
-					for k, v := range out[p] {
-						st[k] = v
-					}
-					first = false
-					continue
-				}
-				for _, s := range tr.Seeds {
-					st[s] = meet(st[s], out[p][s])
-				}
-			}
-			o := state{}
-			for k, v := range st {
-				o[k] = v
-			}
-			for _, ev := range evmap[b] {
-				apply(o, ev)
-			}
-			if !sameState(in[b], st) || !sameState(out[b], o) {
-				in[b], out[b] = st, o
-				changed = true
+		for _, released := range []map[*alias.Seed]bool{ev.deferRel, ev.released, ev.transfer} {
+			for s := range released {
+				st[s] = alias.Released
 			}
 		}
 	}
+	must := cfg.Forward(g, alias.ObligationLattice, alias.Obligations{}, func(b *cfg.Block, in alias.Obligations) alias.Obligations {
+		st := maps.Clone(in)
+		for _, ev := range evmap[b] {
+			apply(st, ev)
+		}
+		return st
+	})
 
 	// Witness pass: the first return a still-owed resource escapes through.
 	leakAt := make(map[*alias.Seed]token.Position)
 	for _, b := range post {
-		if !reach[b] {
-			continue
-		}
-		st := state{}
-		for k, v := range in[b] {
-			st[k] = v
-		}
+		st := maps.Clone(must.In[b])
 		for i, n := range b.Nodes {
 			apply(st, evmap[b][i])
 			if ret, ok := n.(*ast.ReturnStmt); ok {
 				for _, s := range tr.Seeds {
-					if st[s] != acq {
+					if st[s] != alias.Owed {
 						continue
 					}
 					p := pass.Fset.Position(ret.Pos())
@@ -612,7 +544,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 		}
 	}
 	for _, s := range tr.Seeds {
-		if out[g.Exit][s] != acq {
+		if must.Out[g.Exit][s] != alias.Owed {
 			continue
 		}
 		if p, ok := leakAt[s]; ok {

@@ -20,6 +20,7 @@ package poolsafe
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/alias"
@@ -141,11 +142,11 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 
 	// Classify per-CFG-node events for each seed.
 	type events struct {
-		acquired map[*alias.Seed]bool // seed's Get expression is in this node
+		acquired map[*alias.Seed]bool           // seed's Get expression is in this node
 		put      map[*alias.Seed]*alias.Witness // non-deferred Put (nil Witness = direct sync.Pool.Put)
-		deferPut map[*alias.Seed]bool // Put scheduled by a defer in this node
-		returned map[*alias.Seed]bool // ownership transferred to the caller
-		escaped  map[*alias.Seed]bool // reported separately; discharges the obligation
+		deferPut map[*alias.Seed]bool           // Put scheduled by a defer in this node
+		returned map[*alias.Seed]bool           // ownership transferred to the caller
+		escaped  map[*alias.Seed]bool           // reported separately; discharges the obligation
 	}
 
 	putsIn := func(n ast.Node, emit func(s *alias.Seed, call *ast.CallExpr, w *alias.Witness)) {
@@ -215,7 +216,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 
 	g := pass.Prog.CFG(fd)
 	post := g.Postorder()
-	reach := g.Reachable()
 	evmap := make(map[*cfg.Block][]*events)
 	for _, b := range post {
 		evs := make([]*events, len(b.Nodes))
@@ -234,92 +234,26 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 		}
 	}
 
-	// Must-analysis for "Put on all exit paths": per seed,
-	// TOP(0) not yet acquired / ACQ(1) live obligation / REL(2) discharged.
-	const (
-		top = 0
-		acq = 1
-		rel = 2
-	)
-	meet := func(a, b int) int {
-		if a == top {
-			return b
-		}
-		if b == top {
-			return a
-		}
-		if a == b {
-			return a
-		}
-		return acq // released on one path only = still owed
-	}
-	type state map[*alias.Seed]int
-	in := make(map[*cfg.Block]state)
-	out := make(map[*cfg.Block]state)
-	apply := func(st state, ev *events) {
-		for s := range ev.acquired {
-			st[s] = acq
-		}
-		for s := range ev.deferPut {
-			st[s] = rel
-		}
-		for s := range ev.put {
-			st[s] = rel
-		}
-		for s := range ev.returned {
-			st[s] = rel
-		}
-		for s := range ev.escaped {
-			st[s] = rel
-		}
-	}
-	sameState := func(a, b state) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k, v := range a {
-			if b[k] != v {
-				return false
+	// Must-analysis for "Put on all exit paths".
+	must := cfg.Forward(g, alias.ObligationLattice, alias.Obligations{}, func(b *cfg.Block, in alias.Obligations) alias.Obligations {
+		st := maps.Clone(in)
+		for _, ev := range evmap[b] {
+			for s := range ev.acquired {
+				st[s] = alias.Owed
 			}
-		}
-		return true
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := len(post) - 1; i >= 0; i-- {
-			b := post[i]
-			st := state{}
-			first := true
-			for _, p := range b.Preds {
-				if !reach[p] {
-					continue
-				}
-				if first {
-					for k, v := range out[p] {
-						st[k] = v
-					}
-					first = false
-					continue
-				}
-				for _, s := range tr.Seeds {
-					st[s] = meet(st[s], out[p][s])
+			for _, released := range []map[*alias.Seed]bool{ev.deferPut, ev.returned, ev.escaped} {
+				for s := range released {
+					st[s] = alias.Released
 				}
 			}
-			o := state{}
-			for k, v := range st {
-				o[k] = v
-			}
-			for _, ev := range evmap[b] {
-				apply(o, ev)
-			}
-			if !sameState(in[b], st) || !sameState(out[b], o) {
-				in[b], out[b] = st, o
-				changed = true
+			for s := range ev.put {
+				st[s] = alias.Released
 			}
 		}
-	}
+		return st
+	})
 	for _, s := range tr.Seeds {
-		if out[g.Exit][s] == acq && !nilChecked[s] {
+		if must.Out[g.Exit][s] == alias.Owed && !nilChecked[s] {
 			pass.Reportf(s.Expr.Pos(), "pooled object from %s is not returned to its pool on every path to return: add a Put (or defer it) on the missing paths", seedName(s))
 		}
 	}
@@ -327,49 +261,18 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, f *fact) {
 	// May-analysis for use-after-Put: the set of seeds whose non-deferred Put
 	// may already have run. Acquire kills (loop re-acquisition is a fresh
 	// object); uses are checked before the node's own Put applies.
-	mayIn := make(map[*cfg.Block]map[*alias.Seed]bool)
-	mayOut := make(map[*cfg.Block]map[*alias.Seed]bool)
-	sameSet := func(a, b map[*alias.Seed]bool) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
+	mayIn := cfg.Forward(g, cfg.Union[*alias.Seed](), map[*alias.Seed]bool{}, func(b *cfg.Block, in map[*alias.Seed]bool) map[*alias.Seed]bool {
+		o := maps.Clone(in)
+		for _, ev := range evmap[b] {
+			for s := range ev.acquired {
+				delete(o, s)
+			}
+			for s := range ev.put {
+				o[s] = true
 			}
 		}
-		return true
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := len(post) - 1; i >= 0; i-- {
-			b := post[i]
-			st := map[*alias.Seed]bool{}
-			for _, p := range b.Preds {
-				if reach[p] {
-					for k := range mayOut[p] {
-						st[k] = true
-					}
-				}
-			}
-			o := map[*alias.Seed]bool{}
-			for k := range st {
-				o[k] = true
-			}
-			for _, ev := range evmap[b] {
-				for s := range ev.acquired {
-					delete(o, s)
-				}
-				for s := range ev.put {
-					o[s] = true
-				}
-			}
-			if !sameSet(mayIn[b], st) || !sameSet(mayOut[b], o) {
-				mayIn[b], mayOut[b] = st, o
-				changed = true
-			}
-		}
-	}
+		return o
+	}).In
 	for _, b := range post {
 		live := map[*alias.Seed]bool{}
 		for k := range mayIn[b] {

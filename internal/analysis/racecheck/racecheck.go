@@ -72,6 +72,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
@@ -123,45 +124,48 @@ func newLockState() *lockState {
 }
 
 func (s *lockState) clone() *lockState {
-	c := &lockState{
-		held:   make(map[types.Object]lockMode, len(s.held)),
-		how:    make(map[types.Object]string, len(s.how)),
-		goSeen: s.goSeen,
-	}
-	for k, v := range s.held {
-		c.held[k] = v
-		c.how[k] = s.how[k]
-	}
-	return c
+	return &lockState{held: maps.Clone(s.held), how: maps.Clone(s.how), goSeen: s.goSeen}
 }
 
 // meet intersects o into s (must-analysis join): a lock survives only if
 // held on both paths, at the weaker of the two modes. goSeen is a may-bit.
 func (s *lockState) meet(o *lockState) {
-	for k, v := range s.held {
-		ov, ok := o.held[k]
-		if !ok {
-			delete(s.held, k)
-			delete(s.how, k)
-			continue
-		}
-		if ov < v {
-			s.held[k] = ov
-		}
-	}
+	intersect(s.held, o.held, s.how)
 	s.goSeen = s.goSeen || o.goSeen
 }
 
-func (s *lockState) equal(o *lockState) bool {
-	if s.goSeen != o.goSeen || len(s.held) != len(o.held) {
-		return false
-	}
-	for k, v := range s.held {
-		if o.held[k] != v {
-			return false
+// intersect keeps in held only the locks also in o, each at the weaker of
+// the two modes, and drops the how entry of every lock it removes.
+func intersect(held, o map[types.Object]lockMode, how map[types.Object]string) {
+	for k, v := range held {
+		if ov, ok := o[k]; !ok {
+			delete(held, k)
+			delete(how, k)
+		} else if ov < v {
+			held[k] = ov
 		}
 	}
-	return true
+}
+
+// locksetLattice is the must-lockset lattice. nil stands for the
+// unrepresentable "every lock held" top, the identity of meet.
+var locksetLattice = cfg.Lattice[*lockState]{
+	Join: func(a, b *lockState) *lockState {
+		if a == nil {
+			return b
+		}
+		if b == nil {
+			return a
+		}
+		c := a.clone()
+		c.meet(b)
+		return c
+	},
+	Equal: (*lockState).equal,
+}
+
+func (s *lockState) equal(o *lockState) bool {
+	return s.goSeen == o.goSeen && maps.Equal(s.held, o.held)
 }
 
 func (s *lockState) acquire(obj types.Object, m lockMode, how string) {
@@ -260,12 +264,19 @@ type fact struct {
 	sites    map[*types.Var][]*site
 	fields   []*types.Var // deterministic field order
 	findings []finding
+
+	// err is set when the summary fixpoint fails to converge; the analysis
+	// then reports it instead of findings computed from a truncated result.
+	err error
 }
 
 func run(pass *analysis.Pass) error {
 	f := pass.Prog.Fact(pass.Analyzer, func(prog *analysis.Program) any {
 		return buildFact(prog)
 	}).(*fact)
+	if f.err != nil {
+		return f.err
+	}
 	for _, fd := range f.findings {
 		if fd.pkg == pass.Pkg {
 			pass.Reportf(fd.pos, "%s", fd.msg)
@@ -299,6 +310,9 @@ func buildFact(prog *analysis.Program) *fact {
 	f.collectFreshFns()
 	f.collectUnits()
 	f.computeSummaries()
+	if f.err != nil {
+		return f
+	}
 	f.computeEntryContexts()
 	f.recordAccesses()
 	f.infer()
@@ -558,38 +572,69 @@ func (f *fact) freshTracker(u *unit) *alias.Tracker {
 
 // ---- summary fixpoint ----
 
-// computeSummaries runs the callee-to-caller fixpoint: each pass re-derives
-// every lock-relevant function's net acquire/release effect using the
-// current summaries at its call sites, until nothing changes. Helpers are
-// summarized once with may semantics.
+// computeSummaries runs the callee-to-caller fixpoint: a function's net
+// acquire/release effect is re-derived from the current summaries at its
+// call sites whenever one of its callees' summaries changes. Helpers are
+// summarized with may semantics.
+//
+// Summaries are not monotone — a callee that releases more leaves its
+// caller holding less — so the lattice alone does not bound the iteration.
+// Without recursion, though, a summary is final once its callees' are: a
+// function k levels above the leaves settles by the k+1th sweep and so
+// changes at most once per level, fewer times than there are functions.
+// Inside a recursive cycle whose summaries settle, each can additionally
+// change once per step of its lattice: absent, RLock, Lock for an acquire
+// and absent, present for a release, three steps per lock. A summary that
+// changes more often than both allow together is flipping without end;
+// that is reported as an error instead of being cut short.
 func (f *fact) computeSummaries() {
-	for round := 0; round < 20; round++ {
-		changed := false
-		for _, u := range f.units {
-			if u.isLit {
-				continue // literals run detached from any caller's frame
-			}
-			if f.helpers[u.fn] {
-				s := f.helperSummary(u)
-				if !sameSummary(f.sums[u.fn], s) {
-					f.sums[u.fn] = s
-					changed = true
+	var decls []*unit
+	locks := make(map[types.Object]bool)
+	for _, u := range f.units {
+		if !u.isLit { // literals run detached from any caller's frame
+			decls = append(decls, u)
+		}
+		ast.Inspect(u.body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if _, obj, ok := mutexOp(u.info, call); ok && obj != nil {
+					locks[obj] = true
 				}
-				continue
 			}
-			if !f.lockRelevant(u) {
-				continue
-			}
-			s := f.bodySummary(u)
-			if !sameSummary(f.sums[u.fn], s) {
-				f.sums[u.fn] = s
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
+			return true
+		})
 	}
+	maxChanges := len(decls) + 3*len(locks)
+	changes := make(map[*unit]int)
+	cfg.Solve(decls, func(u *unit) []*unit {
+		var deps []*unit
+		for _, c := range f.prog.Graph.Node(u.fn).Callees() {
+			if cu := f.byFn[c.Func]; cu != nil {
+				deps = append(deps, cu)
+			}
+		}
+		return deps
+	}, func(u *unit) bool {
+		var s *summary
+		switch {
+		case f.err != nil:
+			return false
+		case f.helpers[u.fn]:
+			s = f.helperSummary(u)
+		case f.lockRelevant(u):
+			s = f.bodySummary(u)
+		default:
+			return false
+		}
+		if sameSummary(f.sums[u.fn], s) {
+			return false
+		}
+		f.sums[u.fn] = s
+		if changes[u]++; changes[u] > maxChanges {
+			f.err = fmt.Errorf("the lock summary of %s did not converge after %d changes (recursive calls whose acquires and releases keep flipping)", u.fn.FullName(), maxChanges)
+			return false
+		}
+		return true
+	})
 }
 
 // lockRelevant reports whether the unit can affect a lockset at all: a
@@ -693,26 +738,10 @@ func (f *fact) bodySummary(u *unit) *summary {
 }
 
 func sameSummary(a, b *summary) bool {
-	if a.empty() != b.empty() {
-		return false
+	if a.empty() || b.empty() {
+		return a.empty() == b.empty()
 	}
-	if a == nil || b == nil {
-		return a.empty() && b.empty()
-	}
-	if len(a.acq) != len(b.acq) || len(a.rel) != len(b.rel) {
-		return false
-	}
-	for k, v := range a.acq {
-		if b.acq[k] != v {
-			return false
-		}
-	}
-	for k := range a.rel {
-		if !b.rel[k] {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(a.acq, b.acq) && maps.Equal(a.rel, b.rel)
 }
 
 // ---- entry contexts ----
@@ -724,7 +753,9 @@ func sameSummary(a, b *summary) bool {
 // outside the analyzed program (tests, future code) owe them nothing, so
 // their entry is empty. The fixpoint grows from empty entries, which
 // converges from below: cycles err toward fewer held locks (false
-// positives, never missed races).
+// positives, never missed races). Entries only grow — a larger caller entry
+// can only enlarge the must-locksets at its call sites — and each is drawn
+// from the finite set of locks and modes, so the iteration terminates.
 func (f *fact) computeEntryContexts() {
 	// Total static in-edges per function: a callee is only as locked as its
 	// least-locked call site, and a call site we never analyze (none exist:
@@ -736,65 +767,71 @@ func (f *fact) computeEntryContexts() {
 			inEdges[e.Callee.Func]++
 		}
 	}
-	for round := 0; round < 6; round++ {
-		gathered := make(map[*types.Func][]map[types.Object]lockMode)
-		count := make(map[*types.Func]int)
-		for _, u := range f.units {
-			w := f.dataflow(u, nil, nil)
-			w.replay(func(callee *types.Func, held map[types.Object]lockMode, _ *lockState, _ ast.Node) {
-				count[callee]++
-				gathered[callee] = append(gathered[callee], held)
+	// The locks held at each call site a function's bodies (its declaration
+	// and its literals) make, computed under the function's current entry
+	// context and dropped when that changes.
+	type callSite struct {
+		callee *types.Func
+		held   map[types.Object]lockMode
+	}
+	unitsOf := make(map[*types.Func][]*unit)
+	for _, u := range f.units {
+		unitsOf[u.fn] = append(unitsOf[u.fn], u)
+	}
+	sites := make(map[*types.Func][]callSite)
+	sitesOf := func(fn *types.Func) []callSite {
+		if cs, ok := sites[fn]; ok {
+			return cs
+		}
+		var cs []callSite
+		for _, u := range unitsOf[fn] {
+			f.dataflow(u, nil, nil).replay(func(callee *types.Func, held map[types.Object]lockMode, _ *lockState, _ ast.Node) {
+				cs = append(cs, callSite{callee, held})
 			}, nil)
 		}
-		changed := false
-		for _, n := range f.prog.Graph.Nodes() {
-			fn := n.Func
-			if fn.Exported() || f.helpers[fn] || f.byFn[fn] == nil {
-				continue
-			}
-			sets := gathered[fn]
-			if len(sets) == 0 || count[fn] != inEdges[fn] {
-				continue // some call site is unaccounted for: stay empty
-			}
-			inter := make(map[types.Object]lockMode, len(sets[0]))
-			for k, v := range sets[0] {
-				inter[k] = v
-			}
-			for _, s := range sets[1:] {
-				for k, v := range inter {
-					sv, ok := s[k]
-					if !ok {
-						delete(inter, k)
-					} else if sv < v {
-						inter[k] = sv
-					}
-				}
-			}
-			if len(inter) == 0 {
-				continue
-			}
-			if !sameLockMap(f.entry[fn], inter) {
-				f.entry[fn] = inter
-				f.entryHow[fn] = "held at every call site of " + fn.Name()
-				changed = true
+		sites[fn] = cs
+		return cs
+	}
+	// A function's entry context depends on its callers' entry contexts.
+	var fns []*types.Func
+	callers := make(map[*types.Func][]*types.Func)
+	for _, n := range f.prog.Graph.Nodes() {
+		fns = append(fns, n.Func)
+		seen := make(map[*types.Func]bool)
+		for _, c := range sitesOf(n.Func) {
+			if !seen[c.callee] {
+				seen[c.callee] = true
+				callers[c.callee] = append(callers[c.callee], n.Func)
 			}
 		}
-		if !changed {
-			break
-		}
 	}
-}
-
-func sameLockMap(a, b map[types.Object]lockMode) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
+	cfg.Solve(fns, func(fn *types.Func) []*types.Func { return callers[fn] }, func(fn *types.Func) bool {
+		if fn.Exported() || f.helpers[fn] || f.byFn[fn] == nil {
 			return false
 		}
-	}
-	return true
+		var sets []map[types.Object]lockMode
+		for _, c := range callers[fn] {
+			for _, cs := range sitesOf(c) {
+				if cs.callee == fn {
+					sets = append(sets, cs.held)
+				}
+			}
+		}
+		if len(sets) == 0 || len(sets) != inEdges[fn] {
+			return false // some call site is unaccounted for: stay empty
+		}
+		inter := maps.Clone(sets[0])
+		for _, s := range sets[1:] {
+			intersect(inter, s, nil)
+		}
+		if len(inter) == 0 || maps.Equal(f.entry[fn], inter) {
+			return false
+		}
+		f.entry[fn] = inter
+		f.entryHow[fn] = "held at every call site of " + fn.Name()
+		delete(sites, fn)
+		return true
+	})
 }
 
 // ---- access recording and inference ----
@@ -960,7 +997,6 @@ type walker struct {
 	f    *fact
 	u    *unit
 	in   map[*cfg.Block]*lockState
-	out  map[*cfg.Block]*lockState
 	post []*cfg.Block
 	// deferRel: locks released by a deferred call somewhere in the body
 	// (may); netRel: locks released without a prior acquire here (may).
@@ -975,14 +1011,9 @@ type walker struct {
 func (f *fact) dataflow(u *unit, onCall func(*types.Func, map[types.Object]lockMode, *lockState, ast.Node), onAccess func(*types.Var, *ast.SelectorExpr, bool, bool, *lockState)) *walker {
 	w := &walker{
 		f: f, u: u,
-		in: make(map[*cfg.Block]*lockState), out: make(map[*cfg.Block]*lockState),
 		deferRel: make(map[types.Object]bool), netRel: make(map[types.Object]bool),
 	}
 	w.post = u.g.Postorder()
-	reach := make(map[*cfg.Block]bool, len(w.post))
-	for _, b := range w.post {
-		reach[b] = true
-	}
 	entry := newLockState()
 	switch {
 	case !u.isLit:
@@ -1004,38 +1035,13 @@ func (f *fact) dataflow(u *unit, onCall func(*types.Func, map[types.Object]lockM
 		// value allocated here is unreachable elsewhere until published,
 		// whenever the literal runs.
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := len(w.post) - 1; i >= 0; i-- {
-			b := w.post[i]
-			var st *lockState
-			if b == u.g.Entry {
-				st = entry.clone()
-			} else {
-				for _, p := range b.Preds {
-					if !reach[p] || w.out[p] == nil {
-						continue
-					}
-					if st == nil {
-						st = w.out[p].clone()
-					} else {
-						st.meet(w.out[p])
-					}
-				}
-				if st == nil {
-					st = newLockState()
-				}
-			}
-			o := st.clone()
-			for _, n := range b.Nodes {
-				w.applyNode(n, o)
-			}
-			if w.in[b] == nil || !w.in[b].equal(st) || w.out[b] == nil || !w.out[b].equal(o) {
-				w.in[b], w.out[b] = st, o
-				changed = true
-			}
+	w.in = cfg.Forward(u.g, locksetLattice, entry, func(b *cfg.Block, in *lockState) *lockState {
+		o := in.clone()
+		for _, n := range b.Nodes {
+			w.applyNode(n, o)
 		}
-	}
+		return o
+	}).In
 	w.onCall, w.onAccess = onCall, onAccess
 	return w
 }
@@ -1167,7 +1173,7 @@ func (w *walker) applyDefer(n *ast.DeferStmt, st *lockState) {
 	}
 	for _, t := range w.f.prog.Graph.CalleesAt(n.Call) {
 		if w.onCall != nil {
-			w.onCall(t.Func, snapshotHeld(st), st, n.Call)
+			w.onCall(t.Func, maps.Clone(st.held), st, n.Call)
 		}
 		if cs := w.f.sums[t.Func]; !cs.empty() {
 			for obj := range cs.rel {
@@ -1220,7 +1226,7 @@ func (w *walker) applyCall(call *ast.CallExpr, st *lockState) {
 	targets := w.f.prog.Graph.CalleesAt(call)
 	if w.onCall != nil {
 		for _, t := range targets {
-			w.onCall(t.Func, snapshotHeld(st), st, call)
+			w.onCall(t.Func, maps.Clone(st.held), st, call)
 		}
 	}
 	var acq map[types.Object]lockMode
@@ -1240,23 +1246,14 @@ func (w *walker) applyCall(call *ast.CallExpr, st *lockState) {
 			}
 		}
 		if first {
-			acq = make(map[types.Object]lockMode, len(cs.acq))
+			acq = maps.Clone(cs.acq)
 			how = make(map[types.Object]string, len(cs.acq))
-			for obj, m := range cs.acq {
-				acq[obj] = m
+			for obj := range cs.acq {
 				how[obj] = chainVia(t.Func.Name(), cs.acqHow[obj])
 			}
 			first = false
 		} else {
-			for obj, m := range acq {
-				cm, ok := cs.acq[obj]
-				if !ok {
-					delete(acq, obj)
-					delete(how, obj)
-				} else if cm < m {
-					acq[obj] = cm
-				}
-			}
+			intersect(acq, cs.acq, how)
 		}
 	}
 	for obj, m := range acq {
@@ -1297,14 +1294,6 @@ func (f *fact) trackedField(v *types.Var) bool {
 		return false // mutexes, waitgroups, atomic boxes
 	}
 	return true
-}
-
-func snapshotHeld(st *lockState) map[types.Object]lockMode {
-	out := make(map[types.Object]lockMode, len(st.held))
-	for k, v := range st.held {
-		out[k] = v
-	}
-	return out
 }
 
 func chainVia(callee, calleeHow string) string {

@@ -206,3 +206,40 @@ func seedResults(out chan<- *result) {
 	}
 	out <- work(1)
 }
+
+// ---- a lock held across a deep chain of unexported helpers ----
+
+// Every call to h1..h8 happens with mu held, so each helper inherits mu as
+// its entry context, eight levels down: the write in h8 is guarded.
+type deep struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (d *deep) bump() {
+	d.mu.Lock()
+	d.n++
+	d.h1()
+	d.mu.Unlock()
+}
+
+func (d *deep) h1() { d.h2() }
+func (d *deep) h2() { d.h3() }
+func (d *deep) h3() { d.h4() }
+func (d *deep) h4() { d.h5() }
+func (d *deep) h5() { d.h6() }
+func (d *deep) h6() { d.h7() }
+func (d *deep) h7() { d.h8() }
+func (d *deep) h8() { d.n = 0 }
+
+func (d *deep) get() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.n
+}
+
+// runDeep publishes d to a second goroutine.
+func runDeep(d *deep) int {
+	go d.bump()
+	return d.get()
+}

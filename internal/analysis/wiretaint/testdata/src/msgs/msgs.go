@@ -182,3 +182,18 @@ func BadCrossPackage(d *wire.Delta) []byte {
 func OKCrossPackage(d *wire.Delta) []byte {
 	return sinks.AllocChecked(int(d.TargetLen))
 }
+
+// BadLongChain: a loop-carried chain of five assignments, listed against
+// the flow so each closure step reaches one more local. The taint closure
+// runs to its fixpoint, however long the chain.
+func BadLongChain(d *wire.Delta, rounds int) []byte {
+	var a, b, c, e, n uint32
+	for i := 0; i < rounds; i++ {
+		n = e
+		e = c
+		c = b
+		b = a
+		a = d.TargetLen
+	}
+	return make([]byte, n) // want "wire-derived length n used to size an allocation"
+}

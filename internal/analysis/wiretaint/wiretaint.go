@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
+	"repro/internal/analysis/cfg"
 )
 
 // Analyzer is the wiretaint checker.
@@ -61,57 +62,64 @@ type taintFact struct {
 
 func buildFact(prog *analysis.Program) *taintFact {
 	fact := &taintFact{params: make(map[*types.Func]map[int]string)}
+	// A function's taint is written by its callers: callers are the
+	// dependencies, and a change re-queues the callees.
 	nodes := prog.Graph.Nodes()
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			if n.Decl == nil || n.Decl.Body == nil || n.Src == nil {
-				continue
-			}
-			info := n.Src.Info
-			tainted, sanitized := funcTaint(info, n.Decl, fact.params[n.Func])
-			caller := n.Func.Name()
-			ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-				call, ok := x.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				for _, callee := range calleesOf(prog.Graph, info, call) {
-					if callee.Decl == nil || callee.Decl.Body == nil {
-						continue
-					}
-					sig, ok := callee.Func.Type().(*types.Signature)
-					if !ok {
-						continue
-					}
-					for i, arg := range call.Args {
-						if i >= sig.Params().Len() {
-							break // variadic tail: index i is not a distinct param
-						}
-						if !taintedExpr(info, arg, tainted, sanitized) {
-							continue
-						}
-						m := fact.params[callee.Func]
-						if m == nil {
-							m = make(map[int]string)
-							fact.params[callee.Func] = m
-						}
-						if _, seen := m[i]; !seen {
-							origin := caller
-							// Extend the chain when the argument's taint
-							// itself arrived via one of our parameters.
-							if from := paramOrigin(info, arg, n, fact.params[n.Func]); from != "" {
-								origin = from + " -> " + caller
-							}
-							m[i] = origin
-							changed = true
-						}
-					}
-				}
-				return true
-			})
+	callers := make(map[*callgraph.Node][]*callgraph.Node)
+	for _, n := range nodes {
+		for _, c := range n.Callees() {
+			callers[c] = append(callers[c], n)
 		}
 	}
+	cfg.Solve(nodes, func(n *callgraph.Node) []*callgraph.Node { return callers[n] }, func(n *callgraph.Node) bool {
+		if n.Decl == nil || n.Decl.Body == nil || n.Src == nil {
+			return false
+		}
+		info := n.Src.Info
+		tainted, sanitized := funcTaint(info, n.Decl, fact.params[n.Func])
+		caller := n.Func.Name()
+		changed := false
+		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			for _, callee := range calleesOf(prog.Graph, info, call) {
+				if callee.Decl == nil || callee.Decl.Body == nil {
+					continue
+				}
+				sig, ok := callee.Func.Type().(*types.Signature)
+				if !ok {
+					continue
+				}
+				for i, arg := range call.Args {
+					if i >= sig.Params().Len() {
+						break // variadic tail: index i is not a distinct param
+					}
+					if !taintedExpr(info, arg, tainted, sanitized) {
+						continue
+					}
+					m := fact.params[callee.Func]
+					if m == nil {
+						m = make(map[int]string)
+						fact.params[callee.Func] = m
+					}
+					if _, seen := m[i]; !seen {
+						origin := caller
+						// Extend the chain when the argument's taint
+						// itself arrived via one of our parameters.
+						if from := paramOrigin(info, arg, n.Func, fact.params[n.Func]); from != "" {
+							origin = from + " -> " + caller
+						}
+						m[i] = origin
+						changed = true
+					}
+				}
+			}
+			return true
+		})
+		return changed
+	})
 	return fact
 }
 
@@ -128,18 +136,18 @@ func calleesOf(g *callgraph.Graph, info *types.Info, call *ast.CallExpr) []*call
 	return out
 }
 
-// paramOrigin reports the origin chain when arg's taint stems from one of
-// the enclosing function's own tainted parameters.
-func paramOrigin(info *types.Info, arg ast.Expr, n *callgraph.Node, params map[int]string) string {
-	if len(params) == 0 {
+// paramOrigin reports the origin chain when e's taint stems from one of
+// the enclosing function fn's own tainted parameters.
+func paramOrigin(info *types.Info, e ast.Expr, fn *types.Func, params map[int]string) string {
+	if fn == nil || len(params) == 0 {
 		return ""
 	}
-	sig, ok := n.Func.Type().(*types.Signature)
+	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return ""
 	}
 	origin := ""
-	ast.Inspect(arg, func(x ast.Node) bool {
+	ast.Inspect(e, func(x ast.Node) bool {
 		id, ok := x.(*ast.Ident)
 		if !ok || origin != "" {
 			return origin == ""
@@ -180,7 +188,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, fact *taintFact) {
 	params := fact.params[fn]
 	tainted, sanitized := funcTaint(info, fd, params)
 	via := func(e ast.Expr) string {
-		if origin := paramOriginForExpr(info, e, fn, params); origin != "" {
+		if origin := paramOrigin(info, e, fn, params); origin != "" {
 			return " [wire value flows in via " + origin + " -> " + fn.Name() + "]"
 		}
 		return ""
@@ -249,32 +257,6 @@ func boundedExpr(e ast.Expr) bool {
 	return false
 }
 
-// paramOriginForExpr mirrors paramOrigin for the reporting pass.
-func paramOriginForExpr(info *types.Info, e ast.Expr, fn *types.Func, params map[int]string) string {
-	if fn == nil || len(params) == 0 {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return ""
-	}
-	origin := ""
-	ast.Inspect(e, func(x ast.Node) bool {
-		id, ok := x.(*ast.Ident)
-		if !ok || origin != "" {
-			return origin == ""
-		}
-		obj := info.Uses[id]
-		for i, chain := range params {
-			if i < sig.Params().Len() && sig.Params().At(i) == obj {
-				origin = chain
-			}
-		}
-		return origin == ""
-	})
-	return origin
-}
-
 // funcTaint computes the function's tainted and sanitized object sets.
 // Objects are field *types.Var for wire-struct field reads (global per
 // field, which conflates distinct instances of the same message type — an
@@ -314,38 +296,52 @@ func funcTaint(info *types.Info, fd *ast.FuncDecl, params map[int]string) (taint
 		return true
 	})
 
-	// Taint closure over assignments (flow-insensitive; a few rounds reach
-	// the fixpoint for any realistic chain of locals).
-	for round := 0; round < 4; round++ {
-		changed := false
-		ast.Inspect(fd.Body, func(x ast.Node) bool {
-			as, ok := x.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
+	// Taint closure over assignments (flow-insensitive): an assignment
+	// depends on the assignments to every local its RHS mentions.
+	type assign struct {
+		lhs types.Object
+		rhs ast.Expr
+	}
+	var assigns []assign
+	writers := make(map[types.Object][]assign)
+	ast.Inspect(fd.Body, func(x ast.Node) bool {
+		as, ok := x.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			id, ok := as.Lhs[i].(*ast.Ident)
+			if !ok {
+				continue
 			}
-			for i, rhs := range as.Rhs {
-				if !taintedExpr(info, rhs, tainted, sanitized) {
-					continue
-				}
-				id, ok := as.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj != nil && !tainted[obj] {
-					tainted[obj] = true
-					changed = true
-				}
+			obj := info.Defs[id]
+			if obj == nil {
+				obj = info.Uses[id]
+			}
+			if obj != nil {
+				a := assign{obj, rhs}
+				assigns = append(assigns, a)
+				writers[obj] = append(writers[obj], a)
+			}
+		}
+		return true
+	})
+	cfg.Solve(assigns, func(a assign) []assign {
+		var deps []assign
+		ast.Inspect(a.rhs, func(x ast.Node) bool {
+			if id, ok := x.(*ast.Ident); ok {
+				deps = append(deps, writers[info.Uses[id]]...)
 			}
 			return true
 		})
-		if !changed {
-			break
+		return deps
+	}, func(a assign) bool {
+		if tainted[a.lhs] || !taintedExpr(info, a.rhs, tainted, sanitized) {
+			return false
 		}
-	}
+		tainted[a.lhs] = true
+		return true
+	})
 	return tainted, sanitized
 }
 
