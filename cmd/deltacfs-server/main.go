@@ -53,7 +53,7 @@ func main() {
 	if *statePath != "" {
 		loaded, err := srv.LoadFile(*statePath)
 		if err != nil {
-			log.Fatalf("deltacfs-server: %v", err)
+			log.Fatalf("deltacfs-server: -state: %v", err)
 		}
 		if loaded {
 			fmt.Printf("deltacfs-server: restored state from %s (%d files)\n",

@@ -6,14 +6,32 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/storagefault"
 )
+
+// dirSyncFS passes every call through to the real file system except
+// SyncDir, which runs hook when one is set: the crash-ordering tests observe
+// and fault-inject the directory fsync through the store's Options.FS.
+type dirSyncFS struct {
+	storagefault.FS
+	hook func(dir string) error
+}
+
+func (d *dirSyncFS) SyncDir(dir string) error {
+	if d.hook != nil {
+		return d.hook(dir)
+	}
+	return d.FS.SyncDir(dir)
+}
 
 // TestCompactDirSyncOrdering locks in the crash-ordering fix deltavet's
 // crashsafe analyzer found: during compaction the directory fsync must
 // happen after the snapshot rename and before the WAL truncate.
 func TestCompactDirSyncOrdering(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	fsys := &dirSyncFS{FS: storagefault.OS}
+	s, err := OpenWith(dir, Options{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +46,7 @@ func TestCompactDirSyncOrdering(t *testing.T) {
 	}
 
 	calls := 0
-	syncDirHook = func(d string) error {
+	fsys.hook = func(d string) error {
 		calls++
 		if d != dir {
 			t.Errorf("directory fsync on %q, want %q", d, dir)
@@ -45,7 +63,7 @@ func TestCompactDirSyncOrdering(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { syncDirHook = nil }()
+	defer func() { fsys.hook = nil }()
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +78,8 @@ func TestCompactDirSyncOrdering(t *testing.T) {
 // store must replay to the same contents.
 func TestCompactCrashBeforeDirSyncReplays(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	fsys := &dirSyncFS{FS: storagefault.OS}
+	s, err := OpenWith(dir, Options{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +92,11 @@ func TestCompactCrashBeforeDirSyncReplays(t *testing.T) {
 		}
 	}
 	boom := errors.New("injected crash at directory fsync")
-	syncDirHook = func(string) error { return boom }
+	fsys.hook = func(string) error { return boom }
 	if err := s.Compact(); !errors.Is(err, boom) {
 		t.Fatalf("Compact error = %v, want the injected crash", err)
 	}
-	syncDirHook = nil
+	fsys.hook = nil
 
 	// The failed compaction must not have truncated the WAL.
 	st, err := os.Stat(filepath.Join(dir, walName))

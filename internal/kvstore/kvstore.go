@@ -1,10 +1,11 @@
 // Package kvstore is a small embedded, crash-safe key-value store — the
 // stand-in for LevelDB, which the paper uses to persist DeltaCFS's block
 // checksums (§III-E). It keeps the full map in memory and persists through a
-// CRC-protected write-ahead log plus an atomically-replaced snapshot:
+// write-ahead log plus an atomically-replaced snapshot, both sequences of
+// internal/frame frames with one record (op, key, value) per frame:
 //
 //	put/delete  →  append WAL record  →  apply to memtable
-//	Compact()   →  write snapshot.tmp →  rename over snapshot → truncate WAL
+//	Compact()   →  storagefault.ReplaceFile(snapshot) → truncate WAL
 //	Open()      →  load snapshot, replay WAL (stopping at the first torn record)
 //
 // That recovery rule — ignore a trailing torn record instead of failing — is
@@ -13,10 +14,8 @@ package kvstore
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -26,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/storagefault"
 )
 
@@ -35,6 +35,11 @@ const (
 
 	opPut    = byte(1)
 	opDelete = byte(2)
+
+	// The snapshot is a frame sequence: header, one put record per key in
+	// sorted key order, end frame.
+	snapshotMagic   = "kvstore snapshot"
+	snapshotVersion = 1
 
 	// autoCompactWAL is the WAL size beyond which a mutation triggers a
 	// snapshot + truncate, bounding recovery time and disk usage for
@@ -70,6 +75,7 @@ type Store struct {
 	wal    storagefault.File
 	walBuf *bufio.Writer
 	walLen int64
+	recBuf []byte // scratch the WAL record frames are built in (under mu)
 	closed bool
 
 	// poisonVal holds the first WAL flush/fsync failure (an error). Once
@@ -146,7 +152,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	// Make the WAL's directory entry durable before the first commit:
 	// fsyncing a freshly created file persists its blocks but not its
 	// name, and a crash that forgets the name forgets the log with it.
-	if err := syncDir(fsys, dir); err != nil {
+	if err := fsys.SyncDir(dir); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("kvstore: sync dir: %w", err)
 	}
@@ -214,109 +220,127 @@ func (s *Store) kickCommit() {
 }
 
 func (s *Store) loadSnapshot() error {
-	f, err := storagefault.Open(s.fs, filepath.Join(s.dir, snapshotName))
+	data, err := s.fs.ReadFile(filepath.Join(s.dir, snapshotName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("kvstore: open snapshot: %w", err)
+		return fmt.Errorf("kvstore: read snapshot: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	for {
-		rec, err := readRecord(r)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("kvstore: corrupt snapshot: %w", err)
-		}
-		if rec.op != opPut {
-			return fmt.Errorf("kvstore: snapshot contains op %d", rec.op)
-		}
-		s.table[string(rec.key)] = rec.val
+	table, err := decodeSnapshot(data)
+	if err != nil {
+		return fmt.Errorf("kvstore: corrupt snapshot: %w", err)
 	}
+	s.table = table
+	return nil
 }
 
 func (s *Store) replayWAL() error {
-	f, err := storagefault.Open(s.fs, filepath.Join(s.dir, walName))
+	data, err := s.fs.ReadFile(filepath.Join(s.dir, walName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("kvstore: open wal: %w", err)
+		return fmt.Errorf("kvstore: read wal: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
+	replayRecords(data, s.table)
+	return nil
+}
+
+// A record's payload is its op, its key, then the value as the rest of the
+// payload.
+func encodeRecordHead(b []byte, op byte, key []byte) []byte {
+	return frame.AppendBytes(append(b, op), key)
+}
+
+// writeRecord writes one record frame to w, building its head in *buf; the
+// value goes to w from the caller's slice. It returns the bytes written.
+func writeRecord(w io.Writer, buf *[]byte, op byte, key, val []byte) (int, error) {
+	b := encodeRecordHead(frame.Begin((*buf)[:0]), op, key)
+	*buf = b
+	if err := frame.FinishTail(b, 0, val, frame.MaxPayload); err != nil {
+		return 0, err
+	}
+	n, err := w.Write(b)
+	if err != nil {
+		return n, err
+	}
+	m, err := w.Write(val)
+	return n + m, err
+}
+
+// recordBody decodes the key and value that follow a record's op byte.
+func recordBody(r *frame.Reader) (key, val []byte) {
+	return r.Bytes(), append([]byte(nil), r.Rest()...)
+}
+
+// replayRecords applies WAL record frames to table, stopping at the first
+// torn or corrupt frame: recovery keeps everything up to it and discards
+// the rest.
+func replayRecords(data []byte, table map[string][]byte) {
 	for {
-		rec, err := readRecord(r)
+		payload, rest, err := frame.Next(data)
 		if err != nil {
-			// EOF or a torn/corrupt trailing record: recovery keeps
-			// everything up to this point and discards the rest.
-			return nil
+			return
 		}
-		switch rec.op {
+		r := frame.NewReader(payload, true)
+		op := r.U8()
+		key, val := recordBody(&r)
+		if r.Err() != nil {
+			return
+		}
+		switch op {
 		case opPut:
-			s.table[string(rec.key)] = rec.val
+			table[string(key)] = val
 		case opDelete:
-			delete(s.table, string(rec.key))
+			delete(table, string(key))
+		}
+		data = rest
+	}
+}
+
+// writeSnapshot writes table as a snapshot, one put record per key in
+// sorted key order.
+func writeSnapshot(w io.Writer, table map[string][]byte) error {
+	keys := make([]string, 0, len(table))
+	for k := range table {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var fw frame.Writer
+	fw.Header(snapshotMagic, snapshotVersion)
+	for _, k := range keys {
+		fw.Emit(append(encodeRecordHead(fw.Begin(), opPut, []byte(k)), table[k]...))
+		if err := fw.Flush(w); err != nil {
+			return err
 		}
 	}
+	fw.End()
+	return fw.Flush(w)
 }
 
-type record struct {
-	op  byte
-	key []byte
-	val []byte
-}
-
-// record layout: crc32(4) op(1) klen(4) vlen(4) key val
-func writeRecord(w io.Writer, rec record) error {
-	hdr := make([]byte, 13)
-	hdr[4] = rec.op
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(rec.key)))
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(rec.val)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:])
-	crc.Write(rec.key)
-	crc.Write(rec.val)
-	binary.BigEndian.PutUint32(hdr[:4], crc.Sum32())
-	if _, err := w.Write(hdr); err != nil {
-		return err
+// decodeSnapshot decodes a whole snapshot; any damage is an error.
+func decodeSnapshot(data []byte) (map[string][]byte, error) {
+	sc := frame.NewScanner(data)
+	if err := sc.Header(snapshotMagic, snapshotVersion); err != nil {
+		return nil, err
 	}
-	if _, err := w.Write(rec.key); err != nil {
-		return err
-	}
-	_, err := w.Write(rec.val)
-	return err
-}
-
-const maxRecordSide = 64 << 20 // sanity bound on key/value length
-
-func readRecord(r io.Reader) (record, error) {
-	hdr := make([]byte, 13)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return record{}, io.ErrUnexpectedEOF
+	table := make(map[string][]byte)
+	for {
+		r := sc.Next()
+		op := r.U8()
+		if op == frame.TagEnd {
+			return table, sc.End(r)
 		}
-		return record{}, io.EOF
+		key, val := recordBody(r)
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if op != opPut {
+			return nil, fmt.Errorf("kvstore: snapshot contains op %d", op)
+		}
+		table[string(key)] = val
 	}
-	klen := binary.BigEndian.Uint32(hdr[5:9])
-	vlen := binary.BigEndian.Uint32(hdr[9:13])
-	if klen > maxRecordSide || vlen > maxRecordSide {
-		return record{}, errors.New("kvstore: implausible record length")
-	}
-	body := make([]byte, int(klen)+int(vlen))
-	if _, err := io.ReadFull(r, body); err != nil {
-		return record{}, io.ErrUnexpectedEOF
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:])
-	crc.Write(body)
-	if crc.Sum32() != binary.BigEndian.Uint32(hdr[:4]) {
-		return record{}, errors.New("kvstore: record CRC mismatch")
-	}
-	return record{op: hdr[4], key: body[:klen:klen], val: body[klen:]}, nil
 }
 
 // Get returns the value stored under key. The returned slice must not be
@@ -347,13 +371,14 @@ func (s *Store) Put(key, val []byte) error {
 		// program, including net-conn wrappers; walBuf is a local bufio.Writer
 		// over the WAL file, so no network I/O happens under s.mu.
 		//deltavet:allow blockunderlock walBuf is a local bufio.Writer, the CHA io.Writer fanout is spurious
-		if err := writeRecord(s.walBuf, record{op: opPut, key: key, val: valCopy}); err != nil {
+		n, err := writeRecord(s.walBuf, &s.recBuf, opPut, key, valCopy)
+		if err != nil {
 			// The bufio state (and possibly the file tail) is now
 			// unknowable; nothing after this point may claim durability.
 			s.poison(err)
 			return fmt.Errorf("kvstore: wal append: %w", err)
 		}
-		s.walLen += int64(13 + len(key) + len(valCopy))
+		s.walLen += int64(n)
 		s.mutSeq++
 		s.kickCommit()
 	}
@@ -374,11 +399,12 @@ func (s *Store) Delete(key []byte) error {
 	if s.walBuf != nil {
 		// Same spurious CHA io.Writer fanout as Put: walBuf is file-backed.
 		//deltavet:allow blockunderlock walBuf is a local bufio.Writer, the CHA io.Writer fanout is spurious
-		if err := writeRecord(s.walBuf, record{op: opDelete, key: key}); err != nil {
+		n, err := writeRecord(s.walBuf, &s.recBuf, opDelete, key, nil)
+		if err != nil {
 			s.poison(err)
 			return fmt.Errorf("kvstore: wal append: %w", err)
 		}
-		s.walLen += int64(13 + len(key))
+		s.walLen += int64(n)
 		s.mutSeq++
 		s.kickCommit()
 	}
@@ -563,67 +589,23 @@ func (s *Store) compactLocked() error {
 	if err := s.syncLocked(); err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, snapshotName+".tmp")
-	f, err := storagefault.Create(s.fs, tmp)
-	if err != nil {
-		return fmt.Errorf("kvstore: create snapshot: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for k, v := range s.table {
-		// w is the local snapshot-file bufio.Writer; the CHA fanout of
-		// io.Writer.Write to net-conn wrappers is spurious here too.
-		//deltavet:allow blockunderlock w is the local snapshot bufio.Writer, the CHA io.Writer fanout is spurious
-		if err := writeRecord(w, record{op: opPut, key: []byte(k), val: v}); err != nil {
-			f.Close()
-			return fmt.Errorf("kvstore: write snapshot: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
+	// The rename is not durable until the directory is fsynced, which
+	// ReplaceFile does before returning; truncating the WAL before that
+	// opens a crash window where the old snapshot is back but the log
+	// describing everything since is gone.
 	//deltavet:allow blockunderlock compaction quiesces the store, fsync under the lock is the point
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := s.fs.Rename(tmp, filepath.Join(s.dir, snapshotName)); err != nil {
-		return fmt.Errorf("kvstore: install snapshot: %w", err)
-	}
-	// The rename is not durable until the directory is fsynced; truncating
-	// the WAL before that opens a crash window where the old snapshot is
-	// back but the log describing everything since is gone.
-	//deltavet:allow blockunderlock compaction quiesces the store, the directory fsync under the lock is the point
-	if err := syncDir(s.fs, s.dir); err != nil {
-		return fmt.Errorf("kvstore: sync dir: %w", err)
+	err := storagefault.ReplaceFile(s.fs, filepath.Join(s.dir, snapshotName), func(w io.Writer) error {
+		return writeSnapshot(w, s.table)
+	})
+	if err != nil {
+		return fmt.Errorf("kvstore: write snapshot: %w", err)
 	}
 	if err := s.wal.Truncate(0); err != nil {
 		return fmt.Errorf("kvstore: truncate wal: %w", err)
 	}
-	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
 	s.walBuf.Reset(s.wal)
 	s.walLen = 0
 	return nil
-}
-
-// syncDirHook, when non-nil, replaces the directory fsync. Crash-ordering
-// tests intercept it to observe (and fault-inject) the
-// rename -> dir-fsync -> WAL-truncate sequence.
-var syncDirHook func(dir string) error
-
-// syncDir makes a completed rename (or created name) in dir durable. POSIX
-// only guarantees a new name survives a crash once the parent directory's
-// metadata is fsynced.
-func syncDir(fsys storagefault.FS, dir string) error {
-	if syncDirHook != nil {
-		return syncDirHook(dir)
-	}
-	return fsys.SyncDir(dir)
 }
 
 // Close flushes and closes the store. Further operations return ErrClosed.

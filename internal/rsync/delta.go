@@ -2,7 +2,6 @@ package rsync
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -285,102 +284,4 @@ func Patch(base []byte, d *Delta, meter *metrics.CPUMeter) ([]byte, error) {
 			len(out), d.TargetLen)
 	}
 	return out, nil
-}
-
-// MarshalBinary serializes the delta in a compact length-prefixed format.
-func (d *Delta) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	var hdr [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(hdr[:], v)
-		buf.Write(hdr[:])
-	}
-	put(uint64(d.BlockSize))
-	put(uint64(d.BaseLen))
-	put(uint64(d.TargetLen))
-	put(uint64(len(d.Ops)))
-	for _, op := range d.Ops {
-		buf.WriteByte(byte(op.Kind))
-		switch op.Kind {
-		case OpCopy:
-			put(uint64(op.Off))
-			put(uint64(op.Len))
-		case OpData:
-			put(uint64(len(op.Data)))
-			buf.Write(op.Data)
-		default:
-			return nil, fmt.Errorf("rsync: marshal: unknown op kind %d", op.Kind)
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary parses a delta serialized by MarshalBinary.
-func (d *Delta) UnmarshalBinary(p []byte) error {
-	get := func() (uint64, error) {
-		if len(p) < 8 {
-			return 0, errors.New("rsync: unmarshal: short buffer")
-		}
-		v := binary.BigEndian.Uint64(p[:8])
-		p = p[8:]
-		return v, nil
-	}
-	bs, err := get()
-	if err != nil {
-		return err
-	}
-	baseLen, err := get()
-	if err != nil {
-		return err
-	}
-	targetLen, err := get()
-	if err != nil {
-		return err
-	}
-	nOps, err := get()
-	if err != nil {
-		return err
-	}
-	if nOps > uint64(len(p)) { // each op needs at least 1 byte
-		return fmt.Errorf("rsync: unmarshal: op count %d exceeds buffer", nOps)
-	}
-	d.BlockSize = int(bs)
-	d.BaseLen = int64(baseLen)
-	d.TargetLen = int64(targetLen)
-	d.Ops = make([]Op, 0, nOps)
-	for i := uint64(0); i < nOps; i++ {
-		if len(p) < 1 {
-			return errors.New("rsync: unmarshal: truncated op")
-		}
-		kind := OpKind(p[0])
-		p = p[1:]
-		switch kind {
-		case OpCopy:
-			off, err := get()
-			if err != nil {
-				return err
-			}
-			n, err := get()
-			if err != nil {
-				return err
-			}
-			d.Ops = append(d.Ops, Op{Kind: OpCopy, Off: int64(off), Len: int64(n)})
-		case OpData:
-			n, err := get()
-			if err != nil {
-				return err
-			}
-			if uint64(len(p)) < n {
-				return errors.New("rsync: unmarshal: truncated literal")
-			}
-			d.Ops = append(d.Ops, Op{Kind: OpData, Data: append([]byte(nil), p[:n]...)})
-			p = p[n:]
-		default:
-			return fmt.Errorf("rsync: unmarshal: unknown op kind %d", kind)
-		}
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("rsync: unmarshal: %d trailing bytes", len(p))
-	}
-	return nil
 }

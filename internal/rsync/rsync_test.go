@@ -314,42 +314,6 @@ func TestOpsCoalesced(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	base := randBytes(19, 50000)
-	target := append([]byte(nil), base...)
-	copy(target[100:600], randBytes(20, 500))
-	d := DeltaLocal(base, target, 4096, nil)
-
-	p, err := d.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d2 Delta
-	if err := d2.UnmarshalBinary(p); err != nil {
-		t.Fatal(err)
-	}
-	got := mustPatch(t, base, &d2)
-	if !bytes.Equal(got, target) {
-		t.Fatal("marshalled delta did not reconstruct target")
-	}
-	if int64(len(p)) > d.WireSize()+1024 {
-		t.Fatalf("encoded size %d exceeds WireSize estimate %d", len(p), d.WireSize())
-	}
-}
-
-func TestUnmarshalRejectsGarbage(t *testing.T) {
-	var d Delta
-	for _, p := range [][]byte{
-		nil,
-		{1, 2, 3},
-		bytes.Repeat([]byte{0xff}, 40),
-	} {
-		if err := d.UnmarshalBinary(p); err == nil {
-			t.Fatalf("UnmarshalBinary accepted garbage %v", p)
-		}
-	}
-}
-
 // Property: for random base/target pairs and block sizes, remote delta +
 // patch always reconstructs the target.
 func TestDeltaRemoteRoundTripProperty(t *testing.T) {
@@ -379,26 +343,6 @@ func TestDeltaLocalRoundTripProperty(t *testing.T) {
 			d.LiteralBytes() <= int64(len(target))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: marshal/unmarshal is the identity on deltas.
-func TestDeltaMarshalProperty(t *testing.T) {
-	f := func(base, target []byte) bool {
-		d := DeltaLocal(base, target, 64, nil)
-		p, err := d.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var d2 Delta
-		if err := d2.UnmarshalBinary(p); err != nil {
-			return false
-		}
-		out, err := Patch(base, &d2, nil)
-		return err == nil && bytes.Equal(out, target)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

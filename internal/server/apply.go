@@ -106,6 +106,9 @@ func (t *txn) commit() {
 		t.s.meter.Copy(int64(len(snap)))
 		h := append(sh.history[p], revision{ver: sh.getVer(p), content: snap})
 		if len(h) > HistoryDepth {
+			// Clear the dropped revisions: the backing array outlives the
+			// reslice, and would otherwise keep their content reachable.
+			clear(h[:len(h)-HistoryDepth])
 			h = h[len(h)-HistoryDepth:]
 		}
 		sh.history[p] = h

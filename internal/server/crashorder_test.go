@@ -5,7 +5,24 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/storagefault"
 )
+
+// dirSyncFS passes every call through to the real file system except
+// SyncDir, which runs hook when one is set: the crash-ordering test observes
+// and fault-injects the directory fsync through the server's Options.FS.
+type dirSyncFS struct {
+	storagefault.FS
+	hook func(dir string) error
+}
+
+func (d *dirSyncFS) SyncDir(dir string) error {
+	if d.hook != nil {
+		return d.hook(dir)
+	}
+	return d.FS.SyncDir(dir)
+}
 
 // TestSaveFileDirSyncOrdering locks in the crash-ordering fix deltavet's
 // crashsafe analyzer found: SaveFile must fsync the parent directory after
@@ -13,10 +30,11 @@ import (
 func TestSaveFileDirSyncOrdering(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.snap")
-	s := New(nil)
+	fsys := &dirSyncFS{FS: storagefault.OS}
+	s := NewWithOptions(nil, Options{FS: fsys})
 
 	calls := 0
-	syncDirHook = func(d string) error {
+	fsys.hook = func(d string) error {
 		calls++
 		if d != dir {
 			t.Errorf("directory fsync on %q, want %q", d, dir)
@@ -29,7 +47,7 @@ func TestSaveFileDirSyncOrdering(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { syncDirHook = nil }()
+	defer func() { fsys.hook = nil }()
 
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -41,11 +59,11 @@ func TestSaveFileDirSyncOrdering(t *testing.T) {
 	// A failed directory fsync must surface: the caller cannot treat the
 	// snapshot as durable.
 	boom := errors.New("injected crash at directory fsync")
-	syncDirHook = func(string) error { return boom }
+	fsys.hook = func(string) error { return boom }
 	if err := s.SaveFile(path); !errors.Is(err, boom) {
 		t.Fatalf("SaveFile error = %v, want the injected crash", err)
 	}
-	syncDirHook = nil
+	fsys.hook = nil
 
 	// The file that was renamed into place is still loadable.
 	s2 := New(nil)

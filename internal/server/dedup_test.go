@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"repro/internal/metrics"
@@ -158,29 +157,5 @@ func TestDedupSurvivesCrashRestart(t *testing.T) {
 	// And new keyed pushes continue the chain normally.
 	if r := s2.Push(cli, keyedBatch(cli, 2, "f2", []byte("post-crash"))); r.Statuses[0] != wire.StatusOK {
 		t.Fatalf("post-restart push: %+v", r)
-	}
-}
-
-// TestLoadAcceptsV1Snapshot ensures pre-idempotency snapshots still load,
-// rebuilding empty dedup state.
-func TestLoadAcceptsV1Snapshot(t *testing.T) {
-	state := snapshotState{
-		Version: 1,
-		Files:   map[string][]byte{"old": []byte("v1")},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&state); err != nil {
-		t.Fatal(err)
-	}
-	s := New(nil)
-	if err := s.Load(&buf); err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if got, ok := s.FileContent("old"); !ok || !bytes.Equal(got, []byte("v1")) {
-		t.Fatal("v1 content lost")
-	}
-	cli := s.Register()
-	if r := s.Push(cli, keyedBatch(cli, 1, "new", []byte("x"))); r.Statuses[0] != wire.StatusOK {
-		t.Fatalf("keyed push after v1 load: %+v", r)
 	}
 }

@@ -1,15 +1,14 @@
 package server
 
 import (
-	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
-	"path/filepath"
+	"sort"
 
 	"repro/internal/block"
+	"repro/internal/frame"
 	"repro/internal/storagefault"
 	"repro/internal/version"
 	"repro/internal/wire"
@@ -23,51 +22,70 @@ import (
 // snapshot-on-shutdown (plus periodic) policy. Client outboxes are volatile
 // by design: a reconnecting client re-syncs via Head metadata.
 //
-// The snapshot format is shard-agnostic: shards are merged into the flat
-// maps of snapshot v2 on Save and redistributed on Load, so snapshots move
-// freely between servers with different shard counts (including the
-// 1-shard oracle configuration).
+// The snapshot format is shard-agnostic: shards are merged on Save and
+// redistributed on Load, so snapshots move freely between servers with
+// different shard counts (including the 1-shard oracle configuration).
+//
+// The snapshot is an internal/frame sequence: a header frame (magic,
+// version), then tagged records in a canonical order — the client counter,
+// files by path (content longer than frame.SplitSize spans continuation
+// frames), directories by path, resident chunks in eviction (FIFO) order,
+// the applied-op log in commit order, per-client idempotency state and
+// group membership by client ID — and an end frame counting the frames, so
+// a snapshot cut at a frame boundary is refused. Equal states give equal
+// bytes. Any other version is refused: a layout change bumps it, and no
+// snapshot format is converted.
+const (
+	snapshotMagic   = "deltacfs server snapshot"
+	snapshotVersion = 4
 
-// snapshotReplyCache is one client's serialized idempotency state. Seqs and
-// Replies are parallel slices in FIFO insertion order.
-type snapshotReplyCache struct {
-	MaxSeq  uint64
-	Seqs    []uint64
-	Replies []*wire.PushReply
+	tagNextClient = 1 // u32 next client ID
+	tagFile       = 2 // path, version, long content
+	tagDir        = 3 // path
+	tagChunk      = 4 // strong hash, long data
+	tagApplied    = 5 // node kind, path
+	tagClient     = 6 // id, group presence + id, max seq, replies, applied seqs
+)
+
+// snapshot is a fully decoded snapshot, verified before anything installs.
+type snapshot struct {
+	nextClient uint32
+	files      map[string][]byte
+	vers       map[string]version.ID
+	dirs       []string
+	chunks     []chunkRec // FIFO order
+	applied    []AppliedOp
+	clients    []snapshotClient
 }
 
-// snapshotState is the serialized form of the server's durable state.
-type snapshotState struct {
-	Version int
-	Files   map[string][]byte
-	Dirs    map[string]bool
-	Vers    map[string]version.ID
-	Chunks  map[block.Strong][]byte
-	// ChunkFIFO preserves eviction order across restarts so clients that
-	// also persisted their trackers stay in lockstep.
-	ChunkFIFO []block.Strong
-	Applied   []AppliedOp
-
-	// Version 2 fields. NextClient keeps the ID space collision-free when
-	// clients reattach after a restart; Dedup and AppliedSeqs carry the
-	// idempotency state so a replay of a batch applied just before a crash
-	// is still absorbed (and still audited) after recovery.
-	NextClient  uint32
-	Dedup       map[uint32]snapshotReplyCache
-	AppliedSeqs map[uint32]map[uint64]int
-
-	// Version 3 field: sharing-group membership (client ID → group ID) for
-	// every registered client, so forwarding scope survives a restart.
-	Groups map[uint32]uint32
+// snapshotClient is one client's idempotency state and group membership.
+type snapshotClient struct {
+	id     uint32
+	cs     *clientState
+	member bool
+	group  uint32
 }
 
-const snapshotVersion = 3
+type chunkRec struct {
+	h    block.Strong
+	data []byte
+}
 
-// Save writes the server's durable state to w. It quiesces the server for
-// the duration: per-client push locks are taken in ascending client-ID
-// order, then every shard lock (the same outermost-first order Push uses,
-// so a snapshot can never deadlock with in-flight batches).
+// Save writes the server's durable state to w. The state is encoded in
+// memory under the quiesce set and written once the server is released.
 func (s *Server) Save(w io.Writer) error {
+	fw := s.encodeQuiesced()
+	if err := fw.Flush(w); err != nil {
+		return fmt.Errorf("server: save: %w", err)
+	}
+	return nil
+}
+
+// encodeQuiesced encodes the snapshot with the server quiesced: per-client
+// push locks are taken in ascending client-ID order, then every shard lock
+// (the same outermost-first order Push uses, so a snapshot can never
+// deadlock with in-flight batches).
+func (s *Server) encodeQuiesced() *frame.Writer {
 	refs := s.clientSnapshot()
 	for _, ref := range refs {
 		ref.cs.pushMu.Lock()
@@ -101,55 +119,68 @@ func (s *Server) Save(w io.Writer) error {
 			s.chunkStripes[i].mu.Unlock()
 		}
 	}()
-	// Merge the residency stripes into the snapshot's single chunk map; the
-	// FIFO is already global and goes out as-is.
-	chunks := make(map[block.Strong][]byte)
-	for i := range s.chunkStripes {
-		for h, d := range s.chunkStripes[i].data {
-			chunks[h] = d
-		}
-	}
-	state := snapshotState{
-		Version:     snapshotVersion,
-		Files:       make(map[string][]byte),
-		Dirs:        make(map[string]bool),
-		Vers:        make(map[string]version.ID),
-		Chunks:      chunks,
-		ChunkFIFO:   s.chunkFIFO,
-		Applied:     s.applied.snapshot(),
-		NextClient:  nextClient,
-		Dedup:       make(map[uint32]snapshotReplyCache, len(refs)),
-		AppliedSeqs: make(map[uint32]map[uint64]int, len(refs)),
-		Groups:      groups,
-	}
+	fw := &frame.Writer{}
+	fw.Header(snapshotMagic, snapshotVersion)
+	fw.Emit(frame.AppendU32(append(fw.Begin(), tagNextClient), nextClient))
+
+	var paths, dirs []string
 	for _, sh := range s.shards {
-		for p, c := range sh.files {
-			state.Files[p] = c
-			if v := sh.getVer(p); !v.IsZero() {
-				state.Vers[p] = v
-			}
+		for p := range sh.files {
+			paths = append(paths, p)
 		}
 		for p := range sh.dirs {
-			state.Dirs[p] = true
+			dirs = append(dirs, p)
 		}
+	}
+	sort.Strings(paths)
+	sort.Strings(dirs)
+	for _, p := range paths {
+		sh := s.shard(p)
+		b := frame.AppendStr(append(fw.Begin(), tagFile), p)
+		fw.EmitLong(wire.AppendVersion(b, sh.getVer(p)), sh.files[p])
+	}
+	for _, p := range dirs {
+		fw.Emit(frame.AppendStr(append(fw.Begin(), tagDir), p))
+	}
+	// The FIFO is exactly the resident set in insertion order, so the chunk
+	// records carry both the residency map and the eviction order.
+	for _, h := range s.chunkFIFO {
+		fw.EmitLong(append(append(fw.Begin(), tagChunk), h[:]...), s.chunkStripeOf(h).data[h])
+	}
+	applied := s.applied.snapshot()
+	for _, op := range applied {
+		fw.Emit(frame.AppendStr(append(fw.Begin(), tagApplied, byte(op.Kind)), op.Path))
 	}
 	for _, ref := range refs {
+		gid, member := groups[ref.id]
 		rc := ref.cs.dedup
-		if rc.maxSeq == 0 && len(rc.order) == 0 && len(ref.cs.appliedSeqs) == 0 {
+		if !member && rc.maxSeq == 0 && len(rc.order) == 0 && len(ref.cs.appliedSeqs) == 0 {
 			continue
 		}
-		src := snapshotReplyCache{MaxSeq: rc.maxSeq, Seqs: rc.order}
+		b := frame.AppendU32(append(fw.Begin(), tagClient), ref.id)
+		if member {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		b = frame.AppendU32(b, gid)
+		b = frame.AppendU64(b, rc.maxSeq)
+		b = frame.AppendSliceHdr(b, len(rc.order), false)
 		for _, seq := range rc.order {
-			src.Replies = append(src.Replies, rc.replies[seq])
+			b = wire.AppendPushReply(frame.AppendU64(b, seq), rc.replies[seq])
 		}
-		state.Dedup[ref.id] = src
-		if len(ref.cs.appliedSeqs) > 0 {
-			state.AppliedSeqs[ref.id] = ref.cs.appliedSeqs
+		seqs := make([]uint64, 0, len(ref.cs.appliedSeqs))
+		for seq := range ref.cs.appliedSeqs {
+			seqs = append(seqs, seq)
 		}
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		b = frame.AppendSliceHdr(b, len(seqs), false)
+		for _, seq := range seqs {
+			b = frame.AppendI64(frame.AppendU64(b, seq), int64(ref.cs.appliedSeqs[seq]))
+		}
+		fw.Emit(b)
 	}
-	if err := gob.NewEncoder(w).Encode(&state); err != nil {
-		return fmt.Errorf("server: save: %w", err)
-	}
+	fw.End()
 	// The quiesce set is still held: every batch the snapshot captured has
 	// been journaled (Record runs under shard locks before apply), and no
 	// batch can commit until Save returns. Capturing the journal boundary
@@ -163,22 +194,100 @@ func (s *Server) Save(w io.Writer) error {
 		//deltavet:allow blockunderlock journal boundary must be captured while the snapshot quiesce set is held
 		j.captureSnapshot()
 	}
-	return nil
+	return fw
+}
+
+// Minimum encoded sizes bounding the per-client counts a client record
+// declares: a reply entry is a seq plus an empty PushReply (two nil-slice
+// markers, flags, empty error string), an applied-seq entry two u64s.
+const (
+	minReplyEntry   = 8 + 1 + 1 + 1 + 4
+	minAppliedEntry = 16
+)
+
+// decodeSnapshot decodes and verifies a whole snapshot. Nothing is
+// installed until every frame has checked out.
+func decodeSnapshot(data []byte) (*snapshot, error) {
+	sc := frame.NewScanner(data)
+	if err := sc.Header(snapshotMagic, snapshotVersion); err != nil {
+		return nil, err
+	}
+	st := &snapshot{
+		files: make(map[string][]byte),
+		vers:  make(map[string]version.ID),
+	}
+	for {
+		r := sc.Next()
+		switch tag := r.U8(); tag {
+		case frame.TagEnd:
+			if err := sc.End(r); err != nil {
+				return nil, err
+			}
+			return st, nil
+		case tagNextClient:
+			st.nextClient = r.U32()
+			r.Done()
+		case tagFile:
+			p, v := r.Str(), wire.ReadVersion(r)
+			st.files[p] = sc.Long(r)
+			if !v.IsZero() {
+				st.vers[p] = v
+			}
+		case tagDir:
+			st.dirs = append(st.dirs, r.Str())
+			r.Done()
+		case tagChunk:
+			var c chunkRec
+			copy(c.h[:], r.Take(len(c.h)))
+			c.data = sc.Long(r)
+			st.chunks = append(st.chunks, c)
+		case tagApplied:
+			st.applied = append(st.applied, AppliedOp{Kind: wire.NodeKind(r.U8()), Path: r.Str()})
+			r.Done()
+		case tagClient:
+			st.clients = append(st.clients, readClient(r))
+			r.Done()
+		default:
+			r.Fail("unknown record tag %d", tag)
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+	}
+}
+
+func readClient(r *frame.Reader) snapshotClient {
+	c := snapshotClient{id: r.U32(), member: r.U8() != 0, group: r.U32(), cs: newClientState()}
+	c.cs.dedup.maxSeq = r.U64()
+	for i, n := 0, r.Count(minReplyEntry); i < n && r.Err() == nil; i++ {
+		seq := r.U64()
+		c.cs.dedup.order = append(c.cs.dedup.order, seq)
+		c.cs.dedup.replies[seq] = wire.ReadPushReply(r)
+	}
+	for i, n := 0, r.Count(minAppliedEntry); i < n && r.Err() == nil; i++ {
+		c.cs.appliedSeqs[r.U64()] = int(r.I64())
+	}
+	return c
 }
 
 // Load restores state saved by Save into a fresh server. It must be called
-// before any client registers.
+// before any client registers. The whole snapshot is decoded and verified
+// before anything is installed, so a failed Load leaves the server fresh.
 func (s *Server) Load(r io.Reader) error {
-	var state snapshotState
-	if err := gob.NewDecoder(r).Decode(&state); err != nil {
+	data, err := io.ReadAll(r)
+	if err == nil {
+		err = s.load(data)
+	}
+	if err != nil {
 		return fmt.Errorf("server: load: %w", err)
 	}
-	// Version 1 snapshots (pre idempotency) load fine: the dedup state
-	// simply rebuilds empty, which is safe — at worst one ambiguous replay
-	// from before the upgrade re-applies. Version 2 (pre sharing-group)
-	// snapshots rebuild with no memberships; clients rejoin on Attach.
-	if state.Version < 1 || state.Version > snapshotVersion {
-		return fmt.Errorf("server: load: unsupported snapshot version %d", state.Version)
+	return nil
+}
+
+func (s *Server) load(data []byte) error {
+	st, err := decodeSnapshot(data)
+	if err != nil {
+		return err
 	}
 	// Registration check first, on its own (clientMu is never held while
 	// shard locks are acquired — the Push lock order). Load's contract is a
@@ -186,7 +295,7 @@ func (s *Server) Load(r io.Reader) error {
 	s.clientMu.Lock()
 	if s.nextClient != 0 {
 		s.clientMu.Unlock()
-		return fmt.Errorf("server: load: clients already registered")
+		return errors.New("clients already registered")
 	}
 	s.clientMu.Unlock()
 	s.lockAllShards()
@@ -197,23 +306,19 @@ func (s *Server) Load(r io.Reader) error {
 		sh.vers = make(map[string]version.ID)
 		sh.history = make(map[string][]revision)
 	}
-	for p, c := range state.Files {
+	for p, c := range st.files {
 		s.shard(p).files[p] = c
 	}
-	if state.Dirs != nil {
-		for p := range state.Dirs {
-			s.shard(p).dirs[p] = true
-		}
-	} else {
-		s.shard(".").dirs["."] = true
+	for _, p := range st.dirs {
+		s.shard(p).dirs[p] = true
 	}
-	for p, v := range state.Vers {
+	for p, v := range st.vers {
 		s.shard(p).setVer(p, v)
 	}
 	s.unlockAllShards()
 
 	// Restore the chunk store: the global FIFO comes back verbatim, the
-	// single snapshot map is redistributed across the residency stripes.
+	// chunks are redistributed across the residency stripes.
 	s.chunkInsertMu.Lock()
 	for i := range s.chunkStripes {
 		s.chunkStripes[i].mu.Lock()
@@ -221,98 +326,44 @@ func (s *Server) Load(r io.Reader) error {
 	for i := range s.chunkStripes {
 		s.chunkStripes[i].data = make(map[block.Strong][]byte)
 	}
+	s.chunkFIFO = nil
 	var chunkBytes int64
-	for h, d := range state.Chunks {
-		s.chunkStripeOf(h).data[h] = d
-		chunkBytes += int64(len(d))
+	for _, c := range st.chunks {
+		s.chunkStripeOf(c.h).data[c.h] = c.data
+		s.chunkFIFO = append(s.chunkFIFO, c.h)
+		chunkBytes += int64(len(c.data))
 	}
-	s.chunkFIFO = state.ChunkFIFO
 	s.chunkBytes.Store(chunkBytes)
 	for i := len(s.chunkStripes) - 1; i >= 0; i-- {
 		s.chunkStripes[i].mu.Unlock()
 	}
 	s.chunkInsertMu.Unlock()
 
-	s.applied.replace(state.Applied)
+	s.applied.replace(st.applied)
 
 	s.clientMu.Lock()
 	defer s.clientMu.Unlock()
-	s.nextClient = state.NextClient
-	for id, src := range state.Dedup {
-		cs := s.clients[id]
-		if cs == nil {
-			cs = newClientState()
-			s.clients[id] = cs
+	s.nextClient = st.nextClient
+	for _, c := range st.clients {
+		s.clients[c.id] = c.cs
+		// Members come back registered so forwarding scope — and the
+		// sharing gate for conflict history — matches the pre-restart state
+		// even before every client reattaches.
+		if c.member {
+			c.cs.registered = true
+			s.joinGroupLocked(c.id, c.cs, c.group, true)
 		}
-		rc := &replyCache{
-			maxSeq:  src.MaxSeq,
-			replies: make(map[uint64]*wire.PushReply, len(src.Seqs)),
-			order:   src.Seqs,
-		}
-		for i, seq := range src.Seqs {
-			if i < len(src.Replies) {
-				rc.replies[seq] = src.Replies[i]
-			}
-		}
-		cs.dedup = rc
-	}
-	for id, seqs := range state.AppliedSeqs {
-		cs := s.clients[id]
-		if cs == nil {
-			cs = newClientState()
-			s.clients[id] = cs
-		}
-		if seqs != nil {
-			cs.appliedSeqs = seqs
-		}
-	}
-	// Restore sharing-group membership (v3). Members come back registered so
-	// forwarding scope — and the sharing gate for conflict history — matches
-	// the pre-restart state even before every client reattaches.
-	for id, gid := range state.Groups {
-		cs := s.clients[id]
-		if cs == nil {
-			cs = newClientState()
-			s.clients[id] = cs
-		}
-		fresh := !cs.registered
-		cs.registered = true
-		s.joinGroupLocked(id, cs, gid, fresh)
 	}
 	return nil
 }
 
-// SaveFile writes the state to path atomically (write temp, fsync, rename,
-// fsync the directory so the rename itself survives a crash). All IO goes
+// SaveFile writes the state to path through storagefault.ReplaceFile, so a
+// crash leaves the previous snapshot or the complete new one. All IO goes
 // through the server's storagefault.FS so crash-point harnesses can fork the
 // disk at every step of the replace sequence.
 func (s *Server) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := storagefault.Create(s.fsys, tmp)
-	if err != nil {
+	if err := storagefault.ReplaceFile(s.fsys, path, s.Save); err != nil {
 		return fmt.Errorf("server: save file: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	if err := s.Save(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := s.fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	if err := syncDir(s.fsys, filepath.Dir(path)); err != nil {
-		return err
 	}
 	// Only now — snapshot renamed and the rename made durable — may the
 	// journal's snapshot boundary advance. Committing it any earlier lets a
@@ -324,33 +375,19 @@ func (s *Server) SaveFile(path string) error {
 	return nil
 }
 
-// syncDirHook, when non-nil, replaces the directory fsync. Crash-ordering
-// tests intercept it to observe the rename -> dir-fsync sequence.
-var syncDirHook func(dir string) error
-
-// syncDir makes a completed rename in dir durable: until the parent
-// directory's metadata is fsynced, a crash may forget the rename and
-// resurrect the previous snapshot under the final name.
-func syncDir(fsys storagefault.FS, dir string) error {
-	if syncDirHook != nil {
-		return syncDirHook(dir)
-	}
-	return fsys.SyncDir(dir)
-}
-
 // LoadFile restores state from path. A missing file is not an error (fresh
-// server); the second return value reports whether state was loaded.
+// server); the second return value reports whether state was loaded. An
+// error names path.
 func (s *Server) LoadFile(path string) (bool, error) {
-	f, err := storagefault.Open(s.fsys, path)
+	data, err := s.fsys.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
-	if err != nil {
-		return false, fmt.Errorf("server: load file: %w", err)
+	if err == nil {
+		err = s.load(data)
 	}
-	defer f.Close()
-	if err := s.Load(bufio.NewReader(f)); err != nil {
-		return false, err
+	if err != nil {
+		return false, fmt.Errorf("server: load %s: %w", path, err)
 	}
 	return true, nil
 }

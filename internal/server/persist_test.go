@@ -2,9 +2,13 @@ package server
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/wire"
 )
 
@@ -87,6 +91,17 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal("content lost across file round trip")
 	}
 
+	// A refused snapshot is named in the error and installs nothing.
+	bad := filepath.Join(t.TempDir(), "refused.db")
+	if err := os.WriteFile(bad, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s4 := New(nil)
+	if loaded, err := s4.LoadFile(bad); loaded || err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("LoadFile(refused) = %v, %v; want an error naming %s", loaded, err, bad)
+	}
+	assertFresh(t, s4)
+
 	// Missing file: fresh server, no error.
 	s3 := New(nil)
 	loaded, err = s3.LoadFile(filepath.Join(t.TempDir(), "absent.db"))
@@ -106,5 +121,160 @@ func TestAppliedLogSurvivesReload(t *testing.T) {
 	log := s2.AppliedLog()
 	if len(log) != 1 || log[0].Path != "a" {
 		t.Fatalf("AppliedLog = %+v", log)
+	}
+}
+
+// richServer builds a state touching every snapshot record kind: several
+// clients (three in one sharing group, one bare keyed pusher), 64 paths, a
+// directory, dedup replies (including a conflict), resident chunks and the
+// applied log.
+func richServer(t *testing.T) *Server {
+	t.Helper()
+	s := New(nil)
+	group := []uint32{s.RegisterGroup(9), s.RegisterGroup(9), s.RegisterGroup(9)}
+	bare := s.Register()
+	for i := 0; i < 64; i++ {
+		cli := group[i%len(group)]
+		b := keyedBatch(cli, uint64(i/len(group)+1), fmt.Sprintf("dir%d/f%02d", i%4, i), randBytes(int64(i), 100+i*37))
+		if r := s.Push(cli, b); r.Statuses[0] != wire.StatusOK {
+			t.Fatalf("push %d: %+v", i, r)
+		}
+	}
+	mustOK(t, push(t, s, bare, &wire.Node{Kind: wire.NMkdir, Path: "sub"}))
+	mustOK(t, push(t, s, bare, &wire.Node{Kind: wire.NCDC, Path: "sub/chunked", Ver: v(bare, 1),
+		Chunks: []wire.ChunkRef{
+			{Hash: [16]byte{1}, Len: 5, Data: []byte("hello")},
+			{Hash: [16]byte{2}, Len: 6, Data: []byte(" world")},
+		}}))
+	// A stale-base keyed write: the cached reply carries a conflict path.
+	stale := &wire.Batch{Client: bare, Seq: 1, Nodes: []*wire.Node{{Kind: wire.NFull, Path: "dir0/f00",
+		Full: []byte("fork"), Base: v(bare, 99), Ver: v(bare, 2)}}}
+	if r := s.Push(bare, stale); len(r.Conflicts) == 0 {
+		t.Fatalf("stale push did not conflict: %+v", r)
+	}
+	return s
+}
+
+func saveBytes(t *testing.T, s *Server) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Equal states must give equal bytes: Save has no map-order dependence, and
+// a loaded snapshot re-saves to exactly the bytes it was loaded from.
+func TestSnapshotBytesAreCanonical(t *testing.T) {
+	s := richServer(t)
+	first := saveBytes(t, s)
+	if second := saveBytes(t, s); !bytes.Equal(first, second) {
+		t.Fatal("two Saves of one state differ")
+	}
+	s2 := New(nil)
+	if err := s2.Load(bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if again := saveBytes(t, s2); !bytes.Equal(first, again) {
+		t.Fatal("Save → Load → Save does not reproduce the snapshot")
+	}
+}
+
+// assertFresh checks that a failed Load installed nothing.
+func assertFresh(t *testing.T, s *Server) {
+	t.Helper()
+	if files := s.Files(); len(files) != 0 {
+		t.Fatalf("failed Load left files behind: %v", files)
+	}
+	if len(s.AppliedLog()) != 0 {
+		t.Fatal("failed Load left applied-log entries behind")
+	}
+	if id := s.Register(); id != 1 {
+		t.Fatalf("failed Load advanced the client counter: Register = %d", id)
+	}
+}
+
+func TestLoadRejectsFlippedContentBit(t *testing.T) {
+	s := New(nil)
+	cli := s.Register()
+	content := randBytes(3, 4096)
+	mustOK(t, push(t, s, cli, &wire.Node{Kind: wire.NFull, Path: "doc", Full: content, Ver: v(cli, 1)}))
+	snap := saveBytes(t, s)
+	at := bytes.Index(snap, content)
+	if at < 0 {
+		t.Fatal("file content not found in the snapshot")
+	}
+	snap[at+len(content)/2] ^= 0x10
+	s2 := New(nil)
+	if err := s2.Load(bytes.NewReader(snap)); err == nil {
+		t.Fatal("Load accepted a snapshot with a flipped content bit")
+	}
+	assertFresh(t, s2)
+}
+
+// frameEnds returns the offset just past every frame in a snapshot.
+func frameEnds(t *testing.T, data []byte) []int {
+	t.Helper()
+	var ends []int
+	for rest := data; len(rest) > 0; {
+		_, next, err := frame.Next(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest = next
+		ends = append(ends, len(data)-len(rest))
+	}
+	return ends
+}
+
+func TestLoadRejectsSnapshotCutAtFrameBoundary(t *testing.T) {
+	snap := saveBytes(t, richServer(t))
+	ends := frameEnds(t, snap)
+	for _, end := range ends[:len(ends)-1] {
+		s := New(nil)
+		if err := s.Load(bytes.NewReader(snap[:end])); err == nil {
+			t.Fatalf("Load accepted a snapshot cut after %d of %d bytes", end, len(snap))
+		}
+		assertFresh(t, s)
+	}
+}
+
+func TestLoadRefusesOtherSnapshotVersions(t *testing.T) {
+	for _, ver := range []uint32{0, 1, 2, 3, snapshotVersion + 1} {
+		var buf bytes.Buffer
+		var fw frame.Writer
+		fw.Header(snapshotMagic, ver)
+		fw.End()
+		if err := fw.Flush(&buf); err != nil {
+			t.Fatal(err)
+		}
+		s := New(nil)
+		err := s.Load(&buf)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", ver)) {
+			t.Fatalf("version %d: Load error = %v, want a refusal naming the version", ver, err)
+		}
+		assertFresh(t, s)
+	}
+}
+
+// File content longer than the split size spans continuation frames and
+// round-trips exactly.
+func TestSnapshotSplitsLongContent(t *testing.T) {
+	s := New(nil)
+	cli := s.Register()
+	big := randBytes(5, 2*frame.SplitSize+123)
+	mustOK(t, push(t, s, cli, &wire.Node{Kind: wire.NFull, Path: "big", Full: big, Ver: v(cli, 1)}))
+	snap := saveBytes(t, s)
+	small := saveBytes(t, New(nil))
+	if got, min := len(frameEnds(t, snap))-len(frameEnds(t, small)), 4; got < min {
+		t.Fatalf("big file added %d frames, want at least %d (record + 3 continuations)", got, min)
+	}
+	s2 := New(nil)
+	if err := s2.Load(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.FileContent("big"); !ok || !bytes.Equal(got, big) {
+		t.Fatal("long content lost across save/load")
 	}
 }

@@ -3,7 +3,10 @@ package server
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/cdc"
@@ -505,4 +508,32 @@ func TestChunkStoreBudgetEviction(t *testing.T) {
 	// Re-carrying the data re-registers it.
 	mustOK(t, push(t, s, cli, &wire.Node{Kind: wire.NCDC, Path: "c",
 		Chunks: []wire.ChunkRef{first}, Ver: v(cli, 4)}))
+}
+
+// Revisions that fall out of the conflict-history window must become
+// garbage: trimming the window reslices its backing array, which would
+// otherwise keep the dropped contents reachable.
+func TestHistoryReleasesDroppedRevisions(t *testing.T) {
+	s := New(nil)
+	a := s.Register()
+	s.Register() // a second member turns history retention on
+	const pushes = 12
+	var freed atomic.Int32
+	var base version.ID
+	for i := 1; i <= pushes; i++ {
+		mustOK(t, push(t, s, a, &wire.Node{Kind: wire.NFull, Path: "f",
+			Full: randBytes(int64(i), 1<<16), Base: base, Ver: v(a, uint64(i))}))
+		base = v(a, uint64(i))
+		h := s.shard("f").history["f"]
+		runtime.SetFinalizer(&h[len(h)-1].content[0], func(*byte) { freed.Add(1) })
+	}
+	const want = pushes - HistoryDepth
+	for deadline := time.Now().Add(2 * time.Second); freed.Load() < want && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := freed.Load(); got != want {
+		t.Fatalf("%d revisions freed, want the %d dropped from the history window", got, want)
+	}
+	runtime.KeepAlive(s)
 }

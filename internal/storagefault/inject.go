@@ -187,14 +187,6 @@ func (jf *injFile) Sync() error {
 	return jf.f.Sync()
 }
 
-func (jf *injFile) Read(p []byte) (int, error) {
-	n, err := jf.f.Read(p)
-	jf.in.mu.Lock()
-	jf.in.corrupt(p, n)
-	jf.in.mu.Unlock()
-	return n, err
-}
-
 func (jf *injFile) ReadAt(p []byte, off int64) (int, error) {
 	n, err := jf.f.ReadAt(p, off)
 	jf.in.mu.Lock()
@@ -203,10 +195,9 @@ func (jf *injFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-func (jf *injFile) Seek(off int64, whence int) (int64, error) { return jf.f.Seek(off, whence) }
-func (jf *injFile) Truncate(size int64) error                 { return jf.f.Truncate(size) }
-func (jf *injFile) Size() (int64, error)                      { return jf.f.Size() }
-func (jf *injFile) Close() error                              { return jf.f.Close() }
+func (jf *injFile) Truncate(size int64) error { return jf.f.Truncate(size) }
+func (jf *injFile) Size() (int64, error)      { return jf.f.Size() }
+func (jf *injFile) Close() error              { return jf.f.Close() }
 
 // OpenFile implements FS.
 func (in *Injector) OpenFile(name string, flag int, perm os.FileMode) (File, error) {

@@ -355,21 +355,6 @@ func (f *simFile) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-func (f *simFile) Read(p []byte) (int, error) {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
-	ino, err := f.inode()
-	if err != nil {
-		return 0, err
-	}
-	if f.pos >= int64(len(ino.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, ino.data[f.pos:])
-	f.pos += int64(n)
-	return n, nil
-}
-
 func (f *simFile) ReadAt(p []byte, off int64) (int, error) {
 	f.d.mu.Lock()
 	defer f.d.mu.Unlock()
@@ -385,27 +370,6 @@ func (f *simFile) ReadAt(p []byte, off int64) (int, error) {
 		return n, io.EOF
 	}
 	return n, nil
-}
-
-func (f *simFile) Seek(off int64, whence int) (int64, error) {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
-	ino, err := f.inode()
-	if err != nil {
-		return 0, err
-	}
-	switch whence {
-	case 0:
-		f.pos = off
-	case 1:
-		f.pos += off
-	case 2:
-		f.pos = int64(len(ino.data)) + off
-	}
-	if f.pos < 0 {
-		return 0, simErr("seek", f.name, fmt.Errorf("negative position"))
-	}
-	return f.pos, nil
 }
 
 func (f *simFile) Sync() error {

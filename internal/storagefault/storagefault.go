@@ -26,6 +26,7 @@
 package storagefault
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"os"
@@ -51,11 +52,9 @@ var (
 // File is an open file handle. The subset of *os.File the persistence
 // sites use; Size replaces Stat so implementations need not fake FileInfo.
 type File interface {
-	io.Reader
 	io.Writer
 	io.ReaderAt
 	io.WriterAt
-	io.Seeker
 	io.Closer
 	// Sync flushes the file's data to stable storage. After a Sync error
 	// the handle's durability is unknown; fault-injecting implementations
@@ -106,6 +105,40 @@ func Open(fsys FS, name string) (File, error) {
 	return fsys.OpenFile(name, os.O_RDONLY, 0)
 }
 
+// ReplaceFile atomically replaces path with the bytes write produces, the
+// one temp-write → fsync → close → rename → directory-fsync sequence every
+// snapshot uses: write fills path+".tmp" through a buffered writer, which
+// is flushed, fsynced and closed before the rename publishes it; the parent
+// directory's fsync then makes the rename itself durable. A crash at any
+// point leaves either the old file or the complete new one under path.
+func ReplaceFile(fsys FS, path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := Create(fsys, tmp)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err := write(w); err != nil {
+		f.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
+}
+
 // OS is the passthrough FS: every call maps 1:1 onto the os package. It is
 // the default everywhere a storagefault.FS is accepted, so production
 // behavior is unchanged by the indirection.
@@ -115,14 +148,12 @@ type osFS struct{}
 
 type osFile struct{ f *os.File }
 
-func (o osFile) Read(p []byte) (int, error)                { return o.f.Read(p) }
-func (o osFile) Write(p []byte) (int, error)               { return o.f.Write(p) }
-func (o osFile) ReadAt(p []byte, off int64) (int, error)   { return o.f.ReadAt(p, off) }
-func (o osFile) WriteAt(p []byte, off int64) (int, error)  { return o.f.WriteAt(p, off) }
-func (o osFile) Seek(off int64, whence int) (int64, error) { return o.f.Seek(off, whence) }
-func (o osFile) Close() error                              { return o.f.Close() }
-func (o osFile) Sync() error                               { return o.f.Sync() }
-func (o osFile) Truncate(size int64) error                 { return o.f.Truncate(size) }
+func (o osFile) Write(p []byte) (int, error)              { return o.f.Write(p) }
+func (o osFile) ReadAt(p []byte, off int64) (int, error)  { return o.f.ReadAt(p, off) }
+func (o osFile) WriteAt(p []byte, off int64) (int, error) { return o.f.WriteAt(p, off) }
+func (o osFile) Close() error                             { return o.f.Close() }
+func (o osFile) Sync() error                              { return o.f.Sync() }
+func (o osFile) Truncate(size int64) error                { return o.f.Truncate(size) }
 
 func (o osFile) Size() (int64, error) {
 	st, err := o.f.Stat()

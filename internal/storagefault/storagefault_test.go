@@ -3,6 +3,7 @@ package storagefault
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -294,33 +295,24 @@ func TestInjectorCorruptReads(t *testing.T) {
 	}
 }
 
-// TestAtomicReplaceDiscipline proves the write→fsync→rename→dirsync recipe
-// is exactly what survives a crash at every one of its IO prefixes: the
-// reader sees the old content or the new content, never a torn mix.
+// TestAtomicReplaceDiscipline proves ReplaceFile's
+// write→fsync→rename→dirsync recipe is exactly what survives a crash at
+// every one of its IO prefixes: the reader sees the old content or the new
+// content, never a torn mix.
 func TestAtomicReplaceDiscipline(t *testing.T) {
 	d := NewSimDisk()
-	write := func(name, content string, syncdir bool) {
-		f, err := Create(d, name+".tmp")
+	write := func(name, content string) {
+		err := ReplaceFile(d, name, func(w io.Writer) error {
+			_, err := io.WriteString(w, content)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Write([]byte(content))
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		if err := d.Rename(name+".tmp", name); err != nil {
-			t.Fatal(err)
-		}
-		if syncdir {
-			if err := d.SyncDir("."); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
-	write("state", "old-old-old", true)
+	write("state", "old-old-old")
 	mark := d.Ops()
-	write("state", "new-new-new", true)
+	write("state", "new-new-new")
 
 	for k := mark; k <= d.Ops(); k++ {
 		fork := d.Fork(k)

@@ -1,163 +1,155 @@
 package trace
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
-// fileHeader opens a serialized trace: identity, sizes, then a stream of
-// records. Setup state is stored as explicit ops so a loaded trace is fully
+// A serialized trace is an internal/frame sequence: the header frame, an
+// info record (name, description, byte totals), one record per setup op,
+// one record per timed trace op, and the end frame.
+// Setup state is stored as explicit ops so a loaded trace is fully
 // self-contained.
-type fileHeader struct {
-	Version     int
-	Name        string
-	Desc        string
-	UpdateBytes int64
-	WriteBytes  int64
+const (
+	fileMagic   = "deltacfs trace"
+	fileVersion = 2
+
+	tagInfo  = 1 // name, desc, update bytes, write bytes
+	tagSetup = 2 // op
+	tagOp    = 3 // timestamp, op
+)
+
+func appendOp(b []byte, op vfs.Op) []byte {
+	b = append(b, byte(op.Kind))
+	b = frame.AppendStr(b, op.Path)
+	b = frame.AppendStr(b, op.Dst)
+	b = frame.AppendI64(b, op.Off)
+	b = frame.AppendI64(b, op.Size)
+	return frame.AppendBytes(b, op.Data)
 }
 
-// record is one serialized element: either a setup op (At < 0) or a timed
-// trace op.
-type record struct {
-	Op vfs.Op
-	At time.Duration
+func readOp(r *frame.Reader) vfs.Op {
+	op := vfs.Op{Kind: vfs.OpKind(r.U8()), Path: r.Str(), Dst: r.Str(), Off: r.I64(), Size: r.I64(), Data: r.Bytes()}
+	if op.Kind < vfs.OpCreate || op.Kind > vfs.OpFsync {
+		r.Fail("unknown op kind %d", op.Kind)
+	}
+	return op
 }
-
-const fileVersion = 1
-
-// setupMarker distinguishes setup records from trace records in the stream.
-const setupMarker = time.Duration(-1)
 
 // Save serializes the trace — including its setup state — to w. The trace's
 // Setup and Run are executed once to produce the stream.
 func Save(tr *Trace, w io.Writer) error {
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(fileHeader{
-		Version:     fileVersion,
-		Name:        tr.Name,
-		Desc:        tr.Desc,
-		UpdateBytes: tr.UpdateBytes,
-		WriteBytes:  tr.WriteBytes,
-	}); err != nil {
-		return fmt.Errorf("trace: save header: %w", err)
-	}
+	bw := bufio.NewWriter(w)
+	var fw frame.Writer
+	fw.Header(fileMagic, fileVersion)
+	b := frame.AppendStr(append(fw.Begin(), tagInfo), tr.Name)
+	b = frame.AppendStr(b, tr.Desc)
+	b = frame.AppendI64(b, tr.UpdateBytes)
+	fw.Emit(frame.AppendI64(b, tr.WriteBytes))
 	if tr.Setup != nil {
-		rec := &recordingFS{}
-		if err := tr.Setup(rec); err != nil {
+		// Setup runs against a scratch MemFS; the observer records the ops
+		// it issues, so setup state is saved without duplicating generator
+		// logic.
+		fs := vfs.NewObserverFS(vfs.NewMemFS())
+		fs.Subscribe(vfs.ObserverFunc(func(op vfs.Op) {
+			fw.Emit(appendOp(append(fw.Begin(), tagSetup), op))
+		}))
+		if err := tr.Setup(fs); err != nil {
 			return fmt.Errorf("trace: record setup: %w", err)
 		}
-		for _, op := range rec.ops {
-			if err := enc.Encode(record{Op: op, At: setupMarker}); err != nil {
-				return fmt.Errorf("trace: save setup op: %w", err)
-			}
-		}
 	}
-	return tr.Run(func(op vfs.Op, at time.Duration) error {
+	err := tr.Run(func(op vfs.Op, at time.Duration) error {
 		if at < 0 {
 			return errors.New("trace: negative timestamp")
 		}
-		return enc.Encode(record{Op: op, At: at})
+		fw.Emit(appendOp(frame.AppendI64(append(fw.Begin(), tagOp), int64(at)), op))
+		return fw.Flush(bw)
 	})
+	if err != nil {
+		return fmt.Errorf("trace: save: %w", err)
+	}
+	fw.End()
+	if err := fw.Flush(bw); err != nil {
+		return fmt.Errorf("trace: save: %w", err)
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("trace: save: %w", err)
+	}
+	return nil
+}
+
+type timedOp struct {
+	op vfs.Op
+	at time.Duration
 }
 
 // Load reads a trace serialized by Save. The returned trace's Run streams
 // records from the decoded payload held in memory.
 func Load(r io.Reader) (*Trace, error) {
-	dec := gob.NewDecoder(r)
-	var hdr fileHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("trace: load header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: load: %w", err)
 	}
-	if hdr.Version != fileVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr.Version)
+	tr, err := decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("trace: load: %w", err)
 	}
+	return tr, nil
+}
+
+func decode(data []byte) (*Trace, error) {
+	sc := frame.NewScanner(data)
+	if err := sc.Header(fileMagic, fileVersion); err != nil {
+		return nil, err
+	}
+	tr := &Trace{}
 	var setup []vfs.Op
-	var ops []record
+	var ops []timedOp
 	for {
-		var rec record
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
+		r := sc.Next()
+		switch tag := r.U8(); tag {
+		case frame.TagEnd:
+			if err := sc.End(r); err != nil {
+				return nil, err
 			}
-			return nil, fmt.Errorf("trace: load record: %w", err)
+			tr.Setup = func(fs vfs.FS) error {
+				for _, op := range setup {
+					if err := vfs.Apply(fs, op); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			tr.Run = func(emit Emit) error {
+				for _, rec := range ops {
+					if err := emit(rec.op, rec.at); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			return tr, nil
+		case tagInfo:
+			tr.Name, tr.Desc, tr.UpdateBytes, tr.WriteBytes = r.Str(), r.Str(), r.I64(), r.I64()
+		case tagSetup:
+			setup = append(setup, readOp(r))
+		case tagOp:
+			at := time.Duration(r.I64())
+			if at < 0 {
+				r.Fail("negative timestamp %d", at)
+			}
+			ops = append(ops, timedOp{op: readOp(r), at: at})
+		default:
+			r.Fail("unknown record tag %d", tag)
 		}
-		if rec.At == setupMarker {
-			setup = append(setup, rec.Op)
-		} else {
-			ops = append(ops, rec)
+		if err := r.Done(); err != nil {
+			return nil, err
 		}
 	}
-	return &Trace{
-		Name:        hdr.Name,
-		Desc:        hdr.Desc,
-		UpdateBytes: hdr.UpdateBytes,
-		WriteBytes:  hdr.WriteBytes,
-		Setup: func(fs vfs.FS) error {
-			for _, op := range setup {
-				if err := vfs.Apply(fs, op); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Run: func(emit Emit) error {
-			for _, rec := range ops {
-				if err := emit(rec.Op, rec.At); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}, nil
 }
-
-// recordingFS captures the op sequence a Setup function issues, so Save can
-// serialize setup state without duplicating generator logic.
-type recordingFS struct {
-	ops []vfs.Op
-}
-
-func (r *recordingFS) add(op vfs.Op) error {
-	cp := op
-	cp.Data = append([]byte(nil), op.Data...)
-	r.ops = append(r.ops, cp)
-	return nil
-}
-
-func (r *recordingFS) Create(p string) error { return r.add(vfs.Op{Kind: vfs.OpCreate, Path: p}) }
-func (r *recordingFS) WriteAt(p string, off int64, data []byte) error {
-	return r.add(vfs.Op{Kind: vfs.OpWrite, Path: p, Off: off, Data: data})
-}
-func (r *recordingFS) ReadAt(p string, off, n int64) ([]byte, error) {
-	return nil, errors.New("trace: setup must not read")
-}
-func (r *recordingFS) ReadFile(p string) ([]byte, error) {
-	return nil, errors.New("trace: setup must not read")
-}
-func (r *recordingFS) Truncate(p string, size int64) error {
-	return r.add(vfs.Op{Kind: vfs.OpTruncate, Path: p, Size: size})
-}
-func (r *recordingFS) Rename(oldPath, newPath string) error {
-	return r.add(vfs.Op{Kind: vfs.OpRename, Path: oldPath, Dst: newPath})
-}
-func (r *recordingFS) Link(oldPath, newPath string) error {
-	return r.add(vfs.Op{Kind: vfs.OpLink, Path: oldPath, Dst: newPath})
-}
-func (r *recordingFS) Unlink(p string) error { return r.add(vfs.Op{Kind: vfs.OpUnlink, Path: p}) }
-func (r *recordingFS) Mkdir(p string) error  { return r.add(vfs.Op{Kind: vfs.OpMkdir, Path: p}) }
-func (r *recordingFS) Rmdir(p string) error  { return r.add(vfs.Op{Kind: vfs.OpRmdir, Path: p}) }
-func (r *recordingFS) Close(p string) error  { return r.add(vfs.Op{Kind: vfs.OpClose, Path: p}) }
-func (r *recordingFS) Fsync(p string) error  { return r.add(vfs.Op{Kind: vfs.OpFsync, Path: p}) }
-func (r *recordingFS) Stat(p string) (vfs.FileInfo, error) {
-	return vfs.FileInfo{}, errors.New("trace: setup must not stat")
-}
-func (r *recordingFS) List(prefix string) ([]string, error) {
-	return nil, errors.New("trace: setup must not list")
-}
-
-var _ vfs.FS = (*recordingFS)(nil)

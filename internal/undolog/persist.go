@@ -1,16 +1,13 @@
 package undolog
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
-	"path/filepath"
+	"sort"
 
+	"repro/internal/frame"
 	"repro/internal/storagefault"
 )
 
@@ -18,76 +15,57 @@ import (
 // rebuild between sync points, but a client that crashes mid-update loses
 // the pre-update image it needs to reconstruct the old version for delta
 // encoding — it would fall back to shipping full content. SaveTo captures
-// the log with the write-fsync-rename-dirsync discipline every other
-// persistence site uses, and a CRC over the payload so a torn snapshot is
-// detected and discarded (stale-but-consistent beats fresh-but-corrupt:
-// LoadFrom of a bad snapshot reports ErrCorrupt and leaves the log empty).
+// the log through storagefault.ReplaceFile as an internal/frame sequence
+// whose every frame carries a CRC, so a torn snapshot is detected and
+// discarded (stale-but-consistent beats fresh-but-corrupt: LoadFrom of a bad
+// snapshot reports ErrCorrupt and leaves the log empty).
+//
+// Layout: header frame, then per file (in path order) a file frame — path,
+// old size, preserved bytes, segment count — followed by one frame per
+// segment (offset, then its data as a long value spanning continuation
+// frames), then the end frame.
 
-// ErrCorrupt is returned by LoadFrom when the snapshot fails its checksum —
-// a torn or bit-flipped file. The caller should discard it and resync.
+// ErrCorrupt is returned by LoadFrom when the snapshot fails to decode — a
+// torn, bit-flipped or foreign file. The caller should discard it and
+// resync.
 var ErrCorrupt = errors.New("undolog: corrupt snapshot")
 
-// snapSegment and snapFile mirror segment/FileLog for gob.
-type snapSegment struct {
-	Off  int64
-	Data []byte
-}
-
-type snapFile struct {
-	Path           string
-	OldSize        int64
-	PreservedBytes int64
-	Segments       []snapSegment
-}
-
-const snapMagic = "ULOG1\n"
+const (
+	snapMagic   = "undolog snapshot"
+	snapVersion = 1
+	tagFile     = 1
+	tagSegment  = 2
+)
 
 // SaveTo writes the log atomically to path on fsys (nil means the host file
-// system): temp file, fsync, rename over path, fsync the parent directory.
+// system).
 func (l *Log) SaveTo(fsys storagefault.FS, path string) error {
 	if fsys == nil {
 		fsys = storagefault.OS
 	}
-	var files []snapFile
-	for p, f := range l.files {
-		sf := snapFile{Path: p, OldSize: f.oldSize, PreservedBytes: f.preservedBytes}
-		for _, s := range f.segments {
-			sf.Segments = append(sf.Segments, snapSegment{Off: s.off, Data: s.data})
+	paths := make([]string, 0, len(l.files))
+	for p := range l.files {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	err := storagefault.ReplaceFile(fsys, path, func(w io.Writer) error {
+		var fw frame.Writer
+		fw.Header(snapMagic, snapVersion)
+		for _, p := range paths {
+			f := l.files[p]
+			b := append(fw.Begin(), tagFile)
+			b = frame.AppendStr(b, p)
+			b = frame.AppendI64(b, f.oldSize)
+			b = frame.AppendI64(b, f.preservedBytes)
+			fw.Emit(frame.AppendU32(b, uint32(len(f.segments))))
+			for _, s := range f.segments {
+				fw.EmitLong(frame.AppendI64(append(fw.Begin(), tagSegment), s.off), s.data)
+			}
 		}
-		files = append(files, sf)
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(files); err != nil {
-		return fmt.Errorf("undolog: save: %w", err)
-	}
-	var out bytes.Buffer
-	out.WriteString(snapMagic)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], crc32.ChecksumIEEE(payload.Bytes()))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(payload.Len()))
-	out.Write(hdr[:])
-	out.Write(payload.Bytes())
-
-	tmp := path + ".tmp"
-	f, err := storagefault.Create(fsys, tmp)
+		fw.End()
+		return fw.Flush(w)
+	})
 	if err != nil {
-		return fmt.Errorf("undolog: save: %w", err)
-	}
-	if _, err := f.Write(out.Bytes()); err != nil {
-		f.Close()
-		return fmt.Errorf("undolog: save: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("undolog: save: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("undolog: save: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("undolog: save: %w", err)
-	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("undolog: save: %w", err)
 	}
 	return nil
@@ -95,7 +73,7 @@ func (l *Log) SaveTo(fsys storagefault.FS, path string) error {
 
 // LoadFrom replaces the log's contents with the snapshot at path on fsys
 // (nil means the host file system). A missing file is not an error (fresh
-// log, returns false). A snapshot that fails its CRC returns ErrCorrupt
+// log, returns false). A snapshot that fails to decode returns ErrCorrupt
 // with the log left empty.
 func (l *Log) LoadFrom(fsys storagefault.FS, path string) (bool, error) {
 	if fsys == nil {
@@ -108,30 +86,49 @@ func (l *Log) LoadFrom(fsys storagefault.FS, path string) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("undolog: load: %w", err)
 	}
-	l.files = make(map[string]*FileLog)
-	if len(raw) < len(snapMagic)+8 || string(raw[:len(snapMagic)]) != snapMagic {
-		return false, ErrCorrupt
+	files, err := decodeSnapshot(raw)
+	if err != nil {
+		l.files = make(map[string]*FileLog)
+		return false, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	body := raw[len(snapMagic):]
-	sum := binary.BigEndian.Uint32(body[:4])
-	n := binary.BigEndian.Uint32(body[4:8])
-	payload := body[8:]
-	if uint32(len(payload)) != n || crc32.ChecksumIEEE(payload) != sum {
-		return false, ErrCorrupt
-	}
-	var files []snapFile
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&files); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return false, ErrCorrupt
-		}
-		return false, fmt.Errorf("undolog: load: %w", err)
-	}
-	for _, sf := range files {
-		f := &FileLog{oldSize: sf.OldSize, preservedBytes: sf.PreservedBytes}
-		for _, s := range sf.Segments {
-			f.segments = append(f.segments, segment{off: s.Off, data: s.Data})
-		}
-		l.files[sf.Path] = f
-	}
+	l.files = files
 	return true, nil
+}
+
+// decodeSnapshot decodes a whole snapshot before anything is installed.
+func decodeSnapshot(raw []byte) (map[string]*FileLog, error) {
+	sc := frame.NewScanner(raw)
+	if err := sc.Header(snapMagic, snapVersion); err != nil {
+		return nil, err
+	}
+	files := make(map[string]*FileLog)
+	for {
+		r := sc.Next()
+		switch tag := r.U8(); tag {
+		case frame.TagEnd:
+			return files, sc.End(r)
+		case tagFile:
+		default:
+			r.Fail("record tag %d, want a file", tag)
+		}
+		p := r.Str()
+		f := &FileLog{oldSize: r.I64(), preservedBytes: r.I64()}
+		segs := r.U32()
+		if err := r.Done(); err != nil {
+			return nil, err
+		}
+		for i := uint32(0); i < segs; i++ {
+			r := sc.Next()
+			if tag := r.U8(); tag != tagSegment {
+				r.Fail("record tag %d, want a segment", tag)
+			}
+			s := segment{off: r.I64()}
+			s.data = sc.Long(r)
+			if err := r.Err(); err != nil {
+				return nil, err
+			}
+			f.segments = append(f.segments, s)
+		}
+		files[p] = f
+	}
 }

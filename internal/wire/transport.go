@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
 	"repro/internal/version"
 )
@@ -183,7 +184,7 @@ func (cc *connCodec) readRequest(req *request) ([]byte, error) {
 	// The frame buffer is allocated fresh, not pooled: push frames are
 	// retained for the batch's lifetime (journal + outboxes), and non-push
 	// requests are a few dozen bytes.
-	payload, err := readFrame(cc.br, nil)
+	payload, err := frame.Read(cc.br, nil, MaxFrameSize)
 	if err != nil {
 		return nil, err
 	}
@@ -194,9 +195,9 @@ func (cc *connCodec) readRequest(req *request) ([]byte, error) {
 // already-encoded form; their payloads are spliced into the frame verbatim.
 func (cc *connCodec) writeResponse(resp *response, ebs []*EncodedBatch) error {
 	bp := getFrameBuf()
-	buf := beginFrame((*bp)[:0])
+	buf := frame.Begin((*bp)[:0])
 	buf = appendResponse(buf, resp, ebs)
-	err := finishFrame(buf, 0)
+	err := frame.Finish(buf, 0, MaxFrameSize)
 	if err == nil {
 		_, err = cc.conn.Write(buf)
 	}
@@ -462,10 +463,10 @@ func (c *NetClient) roundTrip(req request, wireBytes int64) (*response, error) {
 // pairing is lost either way.
 func (c *NetClient) exchange(req *request, resp *response) error {
 	bp := getFrameBuf()
-	buf := beginFrame((*bp)[:0])
+	buf := frame.Begin((*bp)[:0])
 	buf, err := appendRequest(buf, req)
 	if err == nil {
-		err = finishFrame(buf, 0)
+		err = frame.Finish(buf, 0, MaxFrameSize)
 	}
 	if err == nil {
 		_, err = c.conn.Write(buf)
@@ -476,7 +477,7 @@ func (c *NetClient) exchange(req *request, resp *response) error {
 		c.broken = true
 		return &TransportError{Phase: "send", Err: err}
 	}
-	payload, err := readFrame(c.br, c.rbuf)
+	payload, err := frame.Read(c.br, c.rbuf, MaxFrameSize)
 	if err != nil {
 		c.broken = true
 		return &TransportError{Phase: "recv", Err: err}
