@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint nogob bench
+.PHONY: all build test race lint nogob bench perfbench
 
 all: build lint test
 
@@ -34,3 +34,8 @@ nogob:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# perfbench/ is its own module (the repository benchmark), so ./... above
+# never reaches it; build, vet and test it against this tree's packages.
+perfbench:
+	cd perfbench && $(GO) build -o /dev/null . && $(GO) vet . && $(GO) test ./...

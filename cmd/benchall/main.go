@@ -316,7 +316,7 @@ func run(o runOpts) error {
 		rep.Scaling = rs
 	}
 	// The load sweep is opt-in for the same reason, and goes further: it
-	// drives real loopback TCP connections through the bounded transport,
+	// drives real loopback TCP connections through the wire transport,
 	// striped applied log vs the 1-stripe baseline, plus the journal
 	// commit-window sweep. A rung that fails to converge or sees client
 	// errors fails the run; throughput itself is reported, never asserted.

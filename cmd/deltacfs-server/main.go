@@ -5,7 +5,7 @@
 // Usage:
 //
 //	deltacfs-server [-addr :7420] [-tls] [-state state.db] [-snapshot 60s]
-//	                [-journal dir] [-commit-window 5ms] [-workers N]
+//	                [-journal dir] [-commit-window 5ms]
 //
 // With -state the server loads its durable state from the given file at
 // startup (if present), snapshots to it periodically and on SIGINT/SIGTERM
@@ -44,7 +44,6 @@ func main() {
 	journalDir := flag.String("journal", "", "push journal directory (default <state>.journal; \"off\" disables)")
 	commitWindow := flag.Duration("commit-window", kvstore.DefaultCommitWindow,
 		"journal group-commit window (0 = fsync per push)")
-	workers := flag.Int("workers", 0, "connection worker pool size (0 = auto)")
 	flag.Parse()
 
 	meter := metrics.NewCPUMeter(metrics.PC)
@@ -132,7 +131,7 @@ func main() {
 		}()
 	}
 
-	if err := wire.ServeWith(lis, srv, wire.ServeConfig{Workers: *workers}); err != nil {
+	if err := wire.Serve(lis, srv); err != nil {
 		log.Fatalf("deltacfs-server: %v", err)
 	}
 }

@@ -96,7 +96,7 @@ var wiretaintScope = []string{
 }
 
 // leakcheckScope is where fds, tickers, and goroutines churn at scale: the
-// bounded transport, the load harness, the chaos harness, and the server. A
+// transport, the load harness, the chaos harness, and the server. A
 // leak per accept multiplied by 10k clients is an fd-exhaustion outage.
 var leakcheckScope = []string{
 	"internal/wire",

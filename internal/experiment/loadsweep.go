@@ -71,8 +71,8 @@ func NewRunMeta() *RunMeta {
 // LoadResult is one rung of the real-TCP load sweep: the same client herd
 // driven against the striped applied-log server and against the 1-stripe
 // configuration that serializes applied-op commits the way the old global
-// appliedMu did. Everything else — TCP, the bounded transport, sharded file
-// state — is identical, so the speedup isolates the applied-log change.
+// appliedMu did. Everything else — TCP, the transport, sharded file state —
+// is identical, so the speedup isolates the applied-log change.
 type LoadResult struct {
 	Clients int `json:"clients"`
 
@@ -92,8 +92,6 @@ type LoadSweepConfig struct {
 	TotalOps int
 	// GroupSize is how many clients share each sync group.
 	GroupSize int
-	// Workers sizes the transport worker pool (0 = auto).
-	Workers int
 	// WorkerCmd re-invokes this program as a load worker subprocess; needed
 	// for rungs whose descriptors cannot fit in one process.
 	WorkerCmd []string
@@ -129,7 +127,6 @@ func LoadSweep(cfg LoadSweepConfig) ([]LoadResult, error) {
 			Clients:      n,
 			GroupSize:    cfg.GroupSize,
 			OpsPerClient: ops,
-			Workers:      cfg.Workers,
 			WorkerCmd:    cfg.WorkerCmd,
 		}
 		row := LoadResult{Clients: n}
@@ -198,12 +195,12 @@ func CheckLoad(rs []LoadResult) error {
 // PrintLoad renders the load sweep as a table.
 func PrintLoad(w io.Writer, rs []LoadResult) {
 	fmt.Fprintln(w, "Real-TCP load sweep: striped applied log vs 1-stripe (global commit lock) baseline")
-	fmt.Fprintln(w, "(wall-clock over loopback TCP; conns = peak concurrent connections, all polled unless noted)")
+	fmt.Fprintln(w, "(wall-clock over loopback TCP; conns = peak concurrent connections; goroutines and stack MB sampled with every client connected)")
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "clients\tconns\tgoroutines\tstriped ops/s\tp50 us\tp99 us\tthrottles\t1-stripe ops/s\tp99 us\tspeedup")
+	fmt.Fprintln(tw, "clients\tconns\tgoroutines\tstack MB\tstriped ops/s\tp50 us\tp99 us\tthrottles\t1-stripe ops/s\tp99 us\tspeedup")
 	for _, r := range rs {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%.0f\t%.1f\t%.1f\t%d\t%.0f\t%.1f\t%.2fx\n",
-			r.Clients, r.Striped.PeakConns, r.Striped.GoroutinesAtPeak,
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%.1f\t%.0f\t%.1f\t%.1f\t%d\t%.0f\t%.1f\t%.2fx\n",
+			r.Clients, r.Striped.PeakConns, r.Striped.GoroutinesAtPeak, float64(r.Striped.StackInuseAtPeak)/(1<<20),
 			r.Striped.OpsPerSec, r.Striped.P50Micros, r.Striped.P99Micros, r.Striped.Throttles,
 			r.Global.OpsPerSec, r.Global.P99Micros, r.Speedup)
 	}

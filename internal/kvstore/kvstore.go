@@ -2,18 +2,22 @@
 // stand-in for LevelDB, which the paper uses to persist DeltaCFS's block
 // checksums (§III-E). It keeps the full map in memory and persists through a
 // write-ahead log plus an atomically-replaced snapshot, both sequences of
-// internal/frame frames with one record (op, key, value) per frame:
+// internal/frame frames that open with a header frame (magic + version) and
+// carry one record (op, key, value) per frame:
 //
 //	put/delete  →  append WAL record  →  apply to memtable
-//	Compact()   →  storagefault.ReplaceFile(snapshot) → truncate WAL
+//	Compact()   →  storagefault.ReplaceFile(snapshot) → truncate WAL → WAL header
 //	Open()      →  load snapshot, replay WAL (stopping at the first torn record)
 //
 // That recovery rule — ignore a trailing torn record instead of failing — is
 // what makes the store safe across the power-cut experiments in Table IV.
+// A WAL left empty or with a torn header by a crash right after a truncate
+// replays as empty; a WAL of another kind or version is refused.
 package kvstore
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -41,11 +45,26 @@ const (
 	snapshotMagic   = "kvstore snapshot"
 	snapshotVersion = 1
 
+	// The WAL is a header frame followed by one record frame per mutation;
+	// it has no end frame, since it is appended to until the next
+	// compaction truncates it.
+	walMagic   = "kvstore wal"
+	walVersion = 1
+
 	// autoCompactWAL is the WAL size beyond which a mutation triggers a
 	// snapshot + truncate, bounding recovery time and disk usage for
 	// long-running clients.
 	autoCompactWAL = 64 << 20
 )
+
+// walHeader is the header frame that opens every WAL.
+var walHeader = func() []byte {
+	b := frame.AppendU32(frame.AppendStr(frame.Begin(nil), walMagic), walVersion)
+	if err := frame.Finish(b, 0, frame.MaxPayload); err != nil {
+		panic(err)
+	}
+	return b
+}()
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("kvstore: store is closed")
@@ -74,7 +93,7 @@ type Store struct {
 	fs     storagefault.FS
 	wal    storagefault.File
 	walBuf *bufio.Writer
-	walLen int64
+	walLen int64  // record bytes after the WAL header
 	recBuf []byte // scratch the WAL record frames are built in (under mu)
 	closed bool
 
@@ -142,7 +161,8 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	if err := s.replayWAL(); err != nil {
+	intact, err := s.replayWAL()
+	if err != nil {
 		return nil, err
 	}
 	f, err := fsys.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -161,9 +181,22 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("kvstore: stat wal: %w", err)
 	}
+	// Cut whatever replay discarded — a torn tail, or a torn header — so
+	// new records land straight after the intact prefix, where the next
+	// replay will find them.
+	if size != intact {
+		if err := f.Truncate(intact); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("kvstore: truncate wal: %w", err)
+		}
+	}
 	s.wal = f
 	s.walBuf = bufio.NewWriter(f)
-	s.walLen = size
+	if intact == 0 {
+		s.startWAL()
+	} else {
+		s.walLen = intact - int64(len(walHeader))
+	}
 	if o.CommitWindow > 0 {
 		s.window = o.CommitWindow
 		s.commitKick = make(chan struct{}, 1)
@@ -235,16 +268,29 @@ func (s *Store) loadSnapshot() error {
 	return nil
 }
 
-func (s *Store) replayWAL() error {
-	data, err := s.fs.ReadFile(filepath.Join(s.dir, walName))
+// replayWAL applies the WAL to the table and returns the length of its
+// intact prefix (0 when there is no WAL).
+func (s *Store) replayWAL() (int64, error) {
+	path := filepath.Join(s.dir, walName)
+	data, err := s.fs.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("kvstore: read wal: %w", err)
+		return 0, fmt.Errorf("kvstore: read wal: %w", err)
 	}
-	replayRecords(data, s.table)
-	return nil
+	intact, err := replayRecords(data, s.table)
+	if err != nil {
+		return 0, fmt.Errorf("kvstore: %s: %w", path, err)
+	}
+	return int64(intact), nil
+}
+
+// startWAL opens an empty WAL with its header. The header reaches the file
+// with the next flush; a crash before that leaves an empty WAL, which
+// replays as empty.
+func (s *Store) startWAL() {
+	s.walBuf.Write(walHeader) // into an empty buffer: cannot fail
 }
 
 // A record's payload is its op, its key, then the value as the rest of the
@@ -274,20 +320,34 @@ func recordBody(r *frame.Reader) (key, val []byte) {
 	return r.Bytes(), append([]byte(nil), r.Rest()...)
 }
 
-// replayRecords applies WAL record frames to table, stopping at the first
-// torn or corrupt frame: recovery keeps everything up to it and discards
-// the rest.
-func replayRecords(data []byte, table map[string][]byte) {
+// replayRecords applies a WAL image to table and returns the length of its
+// intact prefix. Empty data, or a torn or corrupt header frame, is an empty
+// WAL: the header is the first thing written after a create or truncate, so
+// a crash can leave it incomplete. A complete header of another kind or
+// version is an error. After the header, replay stops at the first torn or
+// corrupt record frame: recovery keeps everything up to it and discards the
+// rest.
+func replayRecords(data []byte, table map[string][]byte) (int, error) {
+	payload, rest, err := frame.Next(data)
+	if err != nil {
+		return 0, nil
+	}
+	if !bytes.Equal(data[:len(data)-len(rest)], walHeader) {
+		r := frame.NewReader(payload, false)
+		return 0, fmt.Errorf("wal header %.32q version %d, this build reads only %q version %d",
+			r.Str(), r.U32(), walMagic, walVersion)
+	}
+	intact := len(walHeader)
 	for {
-		payload, rest, err := frame.Next(data)
+		payload, rest, err := frame.Next(data[intact:])
 		if err != nil {
-			return
+			return intact, nil
 		}
 		r := frame.NewReader(payload, true)
 		op := r.U8()
 		key, val := recordBody(&r)
 		if r.Err() != nil {
-			return
+			return intact, nil
 		}
 		switch op {
 		case opPut:
@@ -295,7 +355,7 @@ func replayRecords(data []byte, table map[string][]byte) {
 		case opDelete:
 			delete(table, string(key))
 		}
-		data = rest
+		intact = len(data) - len(rest)
 	}
 }
 
@@ -525,7 +585,8 @@ func (s *Store) Len() int {
 	return len(s.table)
 }
 
-// WALSize returns the current WAL length in bytes (0 for memory-only).
+// WALSize returns the bytes of WAL records since the last compaction,
+// excluding the header (0 for memory-only).
 func (s *Store) WALSize() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -604,6 +665,7 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("kvstore: truncate wal: %w", err)
 	}
 	s.walBuf.Reset(s.wal)
+	s.startWAL()
 	s.walLen = 0
 	return nil
 }

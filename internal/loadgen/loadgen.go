@@ -5,22 +5,21 @@
 // own path universe, reacts to PushReply.Throttled backpressure by draining
 // its poll queue, and finally verifies its files round-tripped (the
 // convergence oracle). The server side runs the production stack: striped
-// file state, striped applied log, bounded worker/accept transport, and
-// (optionally) the push journal, so the harness measures exactly what
+// file state, striped applied log, the goroutine-per-connection transport,
+// and (optionally) the push journal, so the harness measures exactly what
 // cmd/deltacfs-server ships.
 //
 // A loopback connection costs two descriptors in one process — both ends —
 // so a 10k-client run cannot fit a typical 20k fd limit in-process. When
 // the budget is tight and the caller provides WorkerCmd, the client herd
 // moves to worker subprocesses (worker.go): the server and its descriptors
-// stay here, each worker holds only its clients' ends, and the goroutine
-// sample at connection peak becomes a pure server-side number.
+// stay here, each worker holds only its clients' ends, and the goroutine and
+// stack samples at connection peak become pure server-side numbers.
 //
 // The interesting numbers are throughput (ops/sec), client-observed push
 // latency (p50/p99), journal fsyncs (durability amplification), throttle
-// and outbox-drop counts (backpressure behavior), and the transport's
-// polled-vs-fallback connection split — polled connections hold no server
-// goroutine, which is the boundedness claim made concrete.
+// and outbox-drop counts (backpressure behavior), and what the connections
+// cost the server in goroutines and stack memory.
 package loadgen
 
 import (
@@ -53,8 +52,6 @@ type Config struct {
 	AppliedStripes int
 	// Shards configures the server's file-state striping (0 = default).
 	Shards int
-	// Workers sizes the transport worker pool (0 = auto).
-	Workers int
 	// JournalDir, when non-empty, wires a push journal rooted there.
 	JournalDir string
 	// CommitWindow is the journal's group-commit window (with JournalDir).
@@ -92,19 +89,19 @@ type Result struct {
 	SyncCoalesced int64 `json:"sync_coalesced"`
 
 	// PeakConns is the highest concurrent TCP connection count the server
-	// observed; PolledConns of those were multiplexed (no goroutine each),
-	// FallbackConns got a dedicated goroutine.
-	PeakConns     int64 `json:"peak_conns"`
-	PolledConns   int64 `json:"polled_conns"`
-	FallbackConns int64 `json:"fallback_conns"`
-	Requests      int64 `json:"requests"`
+	// observed.
+	PeakConns int64 `json:"peak_conns"`
+	Requests  int64 `json:"requests"`
 
 	// GoroutinesAtPeak samples runtime.NumGoroutine with every client
 	// connected and idle, before any op goroutine starts — so it measures
 	// what N connections cost the server in goroutines (with worker
-	// subprocesses it is a pure server-side number). Bounded transport
-	// keeps this flat in N; goroutine-per-connection would make it ≥N.
+	// subprocesses it is a pure server-side number). Each connection is
+	// one serveConn goroutine, so this grows as N.
 	GoroutinesAtPeak int `json:"goroutines_at_peak"`
+	// StackInuseAtPeak is runtime.MemStats.StackInuse, in bytes, sampled at
+	// the same moment: the stack memory those goroutines hold.
+	StackInuseAtPeak uint64 `json:"stack_inuse_at_peak"`
 	// WorkerProcs is how many client subprocesses drove the load (0 =
 	// in-process).
 	WorkerProcs int `json:"worker_procs"`
@@ -188,7 +185,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer lis.Close()
 	stats := &wire.ServeStats{}
-	go wire.ServeWith(lis, srv, wire.ServeConfig{Workers: cfg.Workers, Stats: stats})
+	go wire.ServeWith(lis, srv, wire.ServeConfig{Stats: stats})
 
 	res := &Result{Clients: cfg.Clients, GroupSize: cfg.GroupSize, OpsPerClient: cfg.OpsPerClient,
 		Ops: cfg.Clients * cfg.OpsPerClient}
@@ -212,10 +209,10 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.GoroutinesAtPeak = runtime.NumGoroutine()
+		res.GoroutinesAtPeak, res.StackInuseAtPeak = sampleAtPeak()
 		wr = herd.run()
 	} else {
-		wr, res.GoroutinesAtPeak, err = runViaWorkers(cfg, wc)
+		wr, res.GoroutinesAtPeak, res.StackInuseAtPeak, err = runViaWorkers(cfg, wc)
 		if err != nil {
 			return nil, err
 		}
@@ -249,8 +246,6 @@ func Run(cfg Config) (*Result, error) {
 		res.SyncCoalesced = journal.SyncCoalesced()
 	}
 	res.PeakConns = stats.PeakConns()
-	res.PolledConns = stats.Polled()
-	res.FallbackConns = stats.Fallback()
 	res.Requests = stats.Requests()
 	res.DuplicateApplies = srv.DuplicateApplies()
 	res.Converged = res.Mismatches == 0 && res.Errors == 0 && res.DuplicateApplies == 0
@@ -273,7 +268,7 @@ func workerProcs(cfg Config, limit uint64) int {
 // is staged — the same barrier the in-process path uses. The merged result's
 // OpsElapsedMicros is the slowest worker's own ops window (workers release
 // within the time it takes to write the go tokens, well under a millisecond).
-func runViaWorkers(cfg Config, wc workerConfig) (workerResult, int, error) {
+func runViaWorkers(cfg Config, wc workerConfig) (workerResult, int, uint64, error) {
 	limit, _ := fdLimit(0)
 	procs := workerProcs(cfg, limit)
 	per := (cfg.Clients + procs - 1) / procs
@@ -304,23 +299,23 @@ func runViaWorkers(cfg Config, wc workerConfig) (workerResult, int, error) {
 		stdin, err := cmd.StdinPipe()
 		if err != nil {
 			kill()
-			return workerResult{}, 0, err
+			return workerResult{}, 0, 0, err
 		}
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			kill()
-			return workerResult{}, 0, err
+			return workerResult{}, 0, 0, err
 		}
 		cmd.Stderr = nil
 		if err := cmd.Start(); err != nil {
 			kill()
-			return workerResult{}, 0, fmt.Errorf("loadgen: start worker: %w", err)
+			return workerResult{}, 0, 0, fmt.Errorf("loadgen: start worker: %w", err)
 		}
 		w := &workerProc{cmd: cmd, in: json.NewEncoder(stdin), out: bufio.NewReader(stdout)}
 		workers = append(workers, w)
 		if err := w.in.Encode(&sub); err != nil {
 			kill()
-			return workerResult{}, 0, fmt.Errorf("loadgen: worker config: %w", err)
+			return workerResult{}, 0, 0, fmt.Errorf("loadgen: worker config: %w", err)
 		}
 	}
 
@@ -329,16 +324,16 @@ func runViaWorkers(cfg Config, wc workerConfig) (workerResult, int, error) {
 		line, err := w.out.ReadString('\n')
 		if err != nil || line != workerReady+"\n" {
 			kill()
-			return workerResult{}, 0, fmt.Errorf("loadgen: worker failed while staging: %q, %v", line, err)
+			return workerResult{}, 0, 0, fmt.Errorf("loadgen: worker failed while staging: %q, %v", line, err)
 		}
 	}
-	goroutines := runtime.NumGoroutine()
+	goroutines, stack := sampleAtPeak()
 
 	// Barrier 2: release the herd everywhere at once.
 	for _, w := range workers {
 		if err := w.in.Encode(workerGo); err != nil {
 			kill()
-			return workerResult{}, 0, err
+			return workerResult{}, 0, 0, err
 		}
 	}
 	var total workerResult
@@ -346,7 +341,7 @@ func runViaWorkers(cfg Config, wc workerConfig) (workerResult, int, error) {
 		var wr workerResult
 		if err := json.NewDecoder(w.out).Decode(&wr); err != nil {
 			kill()
-			return workerResult{}, 0, fmt.Errorf("loadgen: worker result: %w", err)
+			return workerResult{}, 0, 0, fmt.Errorf("loadgen: worker result: %w", err)
 		}
 		total.LatsMicros = append(total.LatsMicros, wr.LatsMicros...)
 		total.Throttles += wr.Throttles
@@ -359,7 +354,15 @@ func runViaWorkers(cfg Config, wc workerConfig) (workerResult, int, error) {
 	for _, w := range workers {
 		w.cmd.Wait()
 	}
-	return total, goroutines, nil
+	return total, goroutines, stack, nil
+}
+
+// sampleAtPeak reads this process's goroutine count and stack memory at the
+// staging barrier, with every connection open and idle.
+func sampleAtPeak() (goroutines int, stackInuse uint64) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return runtime.NumGoroutine(), ms.StackInuse
 }
 
 func percentileMicros(lats []time.Duration, p float64) float64 {

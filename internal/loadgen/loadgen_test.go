@@ -28,9 +28,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// In-process smoke: a small sharing-group herd over real TCP converges,
-// every connection takes the poller path (on Linux), and the goroutine
-// sample stays far below one-per-client.
+// In-process smoke: a small sharing-group herd over real TCP converges and
+// the server sees every client as a concurrent connection.
 func TestRunInProcess(t *testing.T) {
 	res, err := Run(Config{Clients: 48, GroupSize: 4, OpsPerClient: 6})
 	if err != nil {

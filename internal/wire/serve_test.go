@@ -17,10 +17,10 @@ import (
 	"repro/internal/version"
 )
 
-// Bounded transport: on Linux, plain-TCP connections are multiplexed onto
-// the poller and a fixed worker pool — N idle connections must not cost N
-// goroutines — and the stats must say so.
-func TestServePolledConnectionsBounded(t *testing.T) {
+// Many concurrent connections, each served by its own serveConn loop: the
+// stats count them, every one works concurrently, and closing the clients
+// drains the count to zero.
+func TestServeManyConnections(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -28,10 +28,9 @@ func TestServePolledConnectionsBounded(t *testing.T) {
 	defer lis.Close()
 	stats := &ServeStats{}
 	backend := newFakeBackend()
-	go ServeWith(lis, backend, ServeConfig{Workers: 4, Stats: stats})
+	go ServeWith(lis, backend, ServeConfig{Stats: stats})
 
 	const conns = 64
-	before := runtime.NumGoroutine()
 	var clients []*NetClient
 	defer func() {
 		for _, c := range clients {
@@ -52,21 +51,7 @@ func TestServePolledConnectionsBounded(t *testing.T) {
 	if got := stats.PeakConns(); got != conns {
 		t.Fatalf("PeakConns = %d, want %d", got, conns)
 	}
-	if runtime.GOOS == "linux" {
-		if got := stats.Polled(); got != conns {
-			t.Fatalf("Polled = %d, want %d (plain TCP must take the poller path)", got, conns)
-		}
-		if got := stats.Fallback(); got != 0 {
-			t.Fatalf("Fallback = %d, want 0", got)
-		}
-		// The boundedness claim: goroutine growth is the worker pool plus
-		// runtime slack, not one per connection.
-		if grew := runtime.NumGoroutine() - before; grew >= conns {
-			t.Fatalf("goroutines grew by %d for %d idle conns; transport is not bounded", grew, conns)
-		}
-	}
-
-	// Every multiplexed connection still works, including concurrently.
+	// Every connection works, including concurrently.
 	var wg sync.WaitGroup
 	errs := make(chan error, conns)
 	for i, c := range clients {
@@ -107,8 +92,8 @@ func TestServePolledConnectionsBounded(t *testing.T) {
 	}
 }
 
-// TLS connections cannot expose a raw fd, so they must take the fallback
-// (goroutine-per-conn) path and still work end to end.
+// TLS connections go through the same serveConn loop as plain TCP and work
+// end to end.
 func TestServeTLSFallsBack(t *testing.T) {
 	serverConf, clientConf, err := SelfSignedTLS()
 	if err != nil {
@@ -131,11 +116,8 @@ func TestServeTLSFallsBack(t *testing.T) {
 	if _, err := c.Push(&Batch{Nodes: []*Node{{Kind: NFull, Path: "f", Full: []byte("x")}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := stats.Fallback(); got != 1 {
-		t.Fatalf("Fallback = %d, want 1 (TLS conns cannot be polled)", got)
-	}
-	if got := stats.Polled(); got != 0 {
-		t.Fatalf("Polled = %d, want 0", got)
+	if got := stats.Conns(); got != 1 {
+		t.Fatalf("Conns = %d, want 1", got)
 	}
 }
 
@@ -167,8 +149,7 @@ var gobRequestOpening, _ = hex.DecodeString("4e7f030101077265717565737401ff80000
 // The server reads the codecMagic preamble once per connection and closes
 // the connection on anything else — a gob stream, or a preamble carrying
 // another codec version followed by a well-formed register frame — before
-// a single request reaches the backend. Both the polled path and the TLS
-// fallback path enforce it.
+// a single request reaches the backend, over plain TCP and over TLS.
 func TestServeRefusesForeignPreamble(t *testing.T) {
 	serverConf, clientConf, err := SelfSignedTLS()
 	if err != nil {
@@ -235,60 +216,61 @@ func TestServeRefusesForeignPreamble(t *testing.T) {
 				if got := backend.calls.Load(); got != 0 {
 					t.Fatalf("backend saw %d calls from a refused connection", got)
 				}
-				if useTLS && stats.Fallback() != 1 {
-					t.Fatalf("Fallback = %d, want 1", stats.Fallback())
-				}
-				if !useTLS && runtime.GOOS == "linux" && stats.Polled() != 1 {
-					t.Fatalf("Polled = %d, want 1", stats.Polled())
-				}
 			})
 		}
 	}
 }
 
-// dispatchLoops counts live goroutines inside serveState.dispatchLoop.
-func dispatchLoops() int {
+// serveConnLoops counts live goroutines inside serveConn.
+func serveConnLoops() int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "(*serveState).dispatchLoop(")
+			return strings.Count(string(buf[:n]), "wire.serveConn(")
 		}
 		buf = make([]byte, 2*len(buf))
 	}
 }
 
-// A stopped ServeWith must release its readiness poller: once the listener
-// is closed and the last connection is gone, the dispatch goroutine — and
-// with it the backend it references — has to exit.
-func TestServeWithStopReleasesPoller(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("no readiness poller on this platform")
-	}
-	before := dispatchLoops()
+// A stopped server leaks no connection loop: once the listener and every
+// client are closed, no goroutine may remain in serveConn — and so nothing
+// keeps the backend reachable. One client per server is still connected
+// when its listener closes, so the loop must also outlive the accept loop
+// and then exit on its own.
+func TestServeWithStopLeaksNoConnLoop(t *testing.T) {
+	before := serveConnLoops()
 	const servers = 20
 	for i := 0; i < servers; i++ {
 		lis := mustListen(t)
 		done := make(chan error, 1)
-		go func() { done <- ServeWith(lis, newFakeBackend(), ServeConfig{Workers: 1}) }()
-		c, err := DialWith(lis.Addr().String(), DialOpts{OpTimeout: time.Minute})
+		go func() { done <- ServeWith(lis, newFakeBackend(), ServeConfig{}) }()
+		idle, err := DialWith(lis.Addr().String(), DialOpts{OpTimeout: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Close()
+		live, err := DialWith(lis.Addr().String(), DialOpts{OpTimeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idle.Close()
 		lis.Close()
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+		if _, _, err := live.Head("f"); err != nil {
+			t.Fatalf("accepted connection stopped serving when the listener closed: %v", err)
+		}
+		live.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		leaked := dispatchLoops() - before
+		leaked := serveConnLoops() - before
 		if leaked <= 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d stopped servers still run their dispatch loop", leaked, servers)
+			t.Fatalf("%d serveConn loops outlive %d stopped servers", leaked, servers)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -67,85 +67,6 @@ type response struct {
 	Batches []*Batch
 }
 
-// ServeConfig tunes per-connection robustness of Serve.
-type ServeConfig struct {
-	// WriteTimeout bounds each response write. Without it, a half-dead peer
-	// that stops reading wedges its handler forever inside conn.Write (the
-	// kernel send buffer fills and the write never returns). It also bounds
-	// each request read once the first byte has arrived, so a trickling
-	// client cannot pin a pool worker. Default 30s; negative disables.
-	WriteTimeout time.Duration
-	// IdleTimeout bounds the wait for the next request on an established
-	// connection. Zero means no idle bound (clients legitimately sit idle
-	// between sync cycles).
-	IdleTimeout time.Duration
-	// Workers fixes the size of the shared worker pool that serves
-	// multiplexed (readiness-polled) connections. 0 → defaultServeWorkers.
-	Workers int
-	// Stats, when non-nil, receives the transport's connection and request
-	// counters (load harnesses read them to prove goroutine boundedness).
-	Stats *ServeStats
-}
-
-// DefaultWriteTimeout is the response-write deadline Serve applies when the
-// config leaves WriteTimeout zero.
-const DefaultWriteTimeout = 30 * time.Second
-
-// Serve accepts connections on lis and dispatches them into backend until
-// lis is closed. Each connection serves one client sequentially, with the
-// default ServeConfig.
-func Serve(lis net.Listener, backend Backend) error {
-	return ServeWith(lis, backend, ServeConfig{})
-}
-
-// ServeWith is Serve with an explicit configuration. Connections are served
-// by a bounded worker/accept model (serve.go): plain TCP connections are
-// multiplexed onto an OS readiness poller and a fixed worker pool, so ten
-// thousand idle clients cost file descriptors — not ten thousand goroutine
-// stacks; connections the poller cannot take (TLS and other wrapped
-// net.Conns, platforms without a poller) fall back to a dedicated goroutine
-// each. ServeWith returns when lis closes; connections already admitted
-// keep being served until they close, after which the pool shuts down.
-func ServeWith(lis net.Listener, backend Backend, cfg ServeConfig) error {
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
-	}
-	srv := newServeState(backend, cfg)
-	defer srv.listenerClosed()
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		srv.admit(conn)
-	}
-}
-
-// serveConn runs one fallback connection's request loop on its own
-// goroutine. It returns (closing the connection) on the first decode or
-// response-write failure: after a short read or write the frame boundary is
-// lost, so continuing would desynchronize every later exchange. The
-// returned error reports why the connection ended (nil for a clean EOF).
-func serveConn(conn net.Conn, backend Backend, cfg ServeConfig, stats *ServeStats) error {
-	defer conn.Close()
-	cc := &connCodec{conn: conn, br: bufio.NewReader(conn)}
-	var client uint32
-	for {
-		if cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(cfg.IdleTimeout))
-		}
-		if err := serveOne(cc, backend, cfg, stats, &client); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("wire: serve: %w", err)
-		}
-	}
-}
-
 // connCodec is one server-side connection's codec state: the buffered
 // reader frames are decoded from, and whether the connection's codecMagic
 // preamble has been checked yet.
@@ -206,10 +127,9 @@ func (cc *connCodec) writeResponse(resp *response, ebs []*EncodedBatch) error {
 	return err
 }
 
-// serveOne decodes and answers exactly one request — the dispatch shared by
-// the fallback per-connection loop and the pool workers. A clean peer
-// shutdown surfaces as io.EOF.
-func serveOne(cc *connCodec, backend Backend, cfg ServeConfig, stats *ServeStats, client *uint32) error {
+// serveOne decodes and answers exactly one request: serveConn's per-request
+// step. A clean peer shutdown surfaces as io.EOF.
+func serveOne(cc *connCodec, backend Backend, stats *ServeStats, client *uint32) error {
 	var req request
 	raw, err := cc.readRequest(&req)
 	if err != nil {
@@ -218,9 +138,7 @@ func serveOne(cc *connCodec, backend Backend, cfg ServeConfig, stats *ServeStats
 		}
 		return fmt.Errorf("read: %w", err)
 	}
-	if stats != nil {
-		stats.requests.Add(1)
-	}
+	stats.requests.Add(1)
 	var resp response
 	var ebs []*EncodedBatch
 	switch req.Op {
@@ -260,13 +178,9 @@ func serveOne(cc *connCodec, backend Backend, cfg ServeConfig, stats *ServeStats
 	default:
 		resp.Err = fmt.Sprintf("unknown op %q", req.Op)
 	}
-	if cfg.WriteTimeout > 0 {
-		cc.conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-	}
+	cc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	err = cc.writeResponse(&resp, ebs)
-	if cfg.WriteTimeout > 0 {
-		cc.conn.SetWriteDeadline(time.Time{})
-	}
+	cc.conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		return fmt.Errorf("write: %w", err)
 	}
