@@ -36,14 +36,10 @@ type Report struct {
 	// reported for the trajectory; violations additionally fail the run.
 	CrashStorm []CrashStormResult `json:"crashstorm,omitempty"`
 
-	// Scaling is the multi-client throughput sweep: sharded vs global-lock
-	// server push throughput per client count (not a paper artifact; tracks
-	// the server's concurrency headroom across revisions).
-	Scaling []ScalingResult `json:"scaling,omitempty"`
-
-	// Load is the real-TCP load sweep (-exp loadsweep): striped applied log
-	// vs 1-stripe baseline per client count, over actual loopback
-	// connections through the bounded transport.
+	// Load is the real-TCP load sweep (-exp loadsweep): push throughput,
+	// latency and connection cost per client count, over actual loopback
+	// connections (not a paper artifact; tracks the server's concurrency
+	// headroom across revisions).
 	Load []LoadResult `json:"load,omitempty"`
 
 	// CommitWindows is the journal group-commit sweep that backs the

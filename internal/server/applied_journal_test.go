@@ -12,19 +12,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Striped applied log, direct unit: concurrent appends against concurrent
-// snapshots must preserve (a) batch contiguity — one append's ops stay
-// adjacent in the merged order — and (b) each appender's own batch order,
-// in every observed snapshot, since both follow from contiguous sequence
-// assignment. Run under -race this also exercises the stripe-lock
-// discipline.
+// Applied log, direct unit: concurrent appends against concurrent snapshots
+// must preserve (a) batch contiguity — one append's ops stay adjacent in the
+// log — and (b) each appender's own batch order, in every observed
+// snapshot. Run under -race this also exercises the log's locking.
 func TestAppliedLogConcurrentAppendSnapshot(t *testing.T) {
 	const (
 		writers = 8
 		batches = 100
 		perOp   = 3
 	)
-	l := newAppliedLog(8)
+	l := &appliedLog{}
 
 	check := func(ops []AppliedOp, where string) {
 		lastBatch := make(map[int]int) // writer -> last batch index seen
@@ -90,45 +88,11 @@ func TestAppliedLogConcurrentAppendSnapshot(t *testing.T) {
 	check(final, "final snapshot")
 }
 
-// Restore must work across stripe geometries: a snapshot taken from a
-// striped server reloads into a differently-striped one with the applied
-// order intact, and appends continue the sequence afterwards.
-func TestAppliedLogRestoreAcrossStripeCounts(t *testing.T) {
-	s1 := NewWithOptions(nil, Options{Shards: 4, AppliedStripes: 8})
-	cli := s1.Register()
-	for i := 1; i <= 20; i++ {
-		r := s1.Push(cli, keyedBatch(cli, uint64(i), fmt.Sprintf("f%d", i), []byte{byte(i)}))
-		if r.Statuses[0] != wire.StatusOK {
-			t.Fatalf("push %d: %+v", i, r)
-		}
-	}
-	var snap bytes.Buffer
-	if err := s1.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := NewWithOptions(nil, Options{Shards: 4, AppliedStripes: 1})
-	if err := s2.Load(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1.AppliedLog(), s2.AppliedLog()) {
-		t.Fatal("applied order changed across stripe-count restore")
-	}
-	s2.Attach(cli)
-	if r := s2.Push(cli, keyedBatch(cli, 21, "f21", []byte{21})); r.Statuses[0] != wire.StatusOK {
-		t.Fatalf("post-restore push: %+v", r)
-	}
-	got := s2.AppliedLog()
-	if len(got) != 21 || got[20].Path != "f21" {
-		t.Fatalf("post-restore append broke the order: %d ops, last %+v", len(got), got[len(got)-1])
-	}
-}
-
 // Concurrent pushes against concurrent snapshots (Save quiesces the world,
 // append holds shard locks): the final snapshot must round-trip into a
 // fresh server byte-identically. The -race run is the point.
 func TestConcurrentPushSnapshotRestore(t *testing.T) {
-	s := NewWithOptions(nil, Options{Shards: 8, AppliedStripes: 8})
+	s := NewWithOptions(nil, Options{Shards: 8})
 	const clients = 4
 	ids := make([]uint32, clients)
 	for i := range ids {

@@ -12,9 +12,6 @@ import (
 // errConflict signals a base-version mismatch during application.
 var errConflict = errors.New("server: base version mismatch")
 
-// debugConflicts enables conflict tracing (tests only).
-var debugConflicts = false
-
 // txn records compensation data so a partially applied batch can be rolled
 // back. Old content slices are retained by reference (mutating operations
 // copy-on-write), so rollback is cheap and allocation-light. The caller
@@ -86,11 +83,11 @@ func (t *txn) rollback() {
 	}
 }
 
-// commit finalizes the transaction, appending to the server's striped
-// applied-op log and recording history snapshots for conflict resolution
-// when the pusher's sharing group has multiple members. The caller still
-// holds the batch's shard locks, which is what makes the assigned commit
-// sequence numbers agree with per-path commit order (applied.go).
+// commit finalizes the transaction, appending to the server's applied-op
+// log and recording history snapshots for conflict resolution when the
+// pusher's sharing group has multiple members. The caller still holds the
+// batch's shard locks, which is what makes log order agree with per-path
+// commit order (applied.go).
 func (t *txn) commit() {
 	t.s.applied.append(t.ops)
 	if !t.sharing {
@@ -139,10 +136,6 @@ func (t *txn) checkBase(n *wire.Node) error {
 	}
 	cur := t.s.shard(n.Path).getVer(n.Path)
 	if !version.CheckBase(cur, n.Base) {
-		if debugConflicts {
-			fmt.Printf("CONFLICT %s %s: server=%v node.Base=%v node.Ver=%v\n",
-				n.Kind, n.Path, cur, n.Base, n.Ver)
-		}
 		return errConflict
 	}
 	return nil
@@ -291,9 +284,8 @@ func (s *Server) applyNode(t *txn, n *wire.Node) error {
 		for i := range resolved {
 			total += int64(len(resolved[i]))
 		}
-		// Store carried chunks per-stripe: no server-wide lock on the push
-		// path. The resolved slices stay valid regardless of eviction (the
-		// backing arrays outlive the map entries).
+		// Store carried chunks. The resolved slices stay valid regardless
+		// of eviction (the backing arrays outlive the map entries).
 		buf := make([]byte, 0, total)
 		for i, c := range n.Chunks {
 			if c.Data != nil {
@@ -434,6 +426,3 @@ func (s *Server) applyToContent(base []byte, n *wire.Node) ([]byte, error) {
 	}
 	return nil, fmt.Errorf("node kind %v carries no content", n.Kind)
 }
-
-// EnableConflictDebug toggles conflict tracing (tests only).
-func EnableConflictDebug(on bool) { debugConflicts = on }

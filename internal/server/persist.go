@@ -106,19 +106,8 @@ func (s *Server) encodeQuiesced() *frame.Writer {
 		}
 	}
 	s.clientMu.RUnlock()
-	// Quiesce the chunk store: the insert lock stops FIFO/byte changes,
-	// then each stripe lock in ascending order stops residency reads from
-	// observing the merge mid-flight.
-	s.chunkInsertMu.Lock()
-	defer s.chunkInsertMu.Unlock()
-	for i := range s.chunkStripes {
-		s.chunkStripes[i].mu.Lock()
-	}
-	defer func() {
-		for i := len(s.chunkStripes) - 1; i >= 0; i-- {
-			s.chunkStripes[i].mu.Unlock()
-		}
-	}()
+	s.chunkMu.Lock()
+	defer s.chunkMu.Unlock()
 	fw := &frame.Writer{}
 	fw.Header(snapshotMagic, snapshotVersion)
 	fw.Emit(frame.AppendU32(append(fw.Begin(), tagNextClient), nextClient))
@@ -145,10 +134,9 @@ func (s *Server) encodeQuiesced() *frame.Writer {
 	// The FIFO is exactly the resident set in insertion order, so the chunk
 	// records carry both the residency map and the eviction order.
 	for _, h := range s.chunkFIFO {
-		fw.EmitLong(append(append(fw.Begin(), tagChunk), h[:]...), s.chunkStripeOf(h).data[h])
+		fw.EmitLong(append(append(fw.Begin(), tagChunk), h[:]...), s.chunks[h])
 	}
-	applied := s.applied.snapshot()
-	for _, op := range applied {
+	for _, op := range s.applied.snapshot() {
 		fw.Emit(frame.AppendStr(append(fw.Begin(), tagApplied, byte(op.Kind)), op.Path))
 	}
 	for _, ref := range refs {
@@ -317,27 +305,17 @@ func (s *Server) load(data []byte) error {
 	}
 	s.unlockAllShards()
 
-	// Restore the chunk store: the global FIFO comes back verbatim, the
-	// chunks are redistributed across the residency stripes.
-	s.chunkInsertMu.Lock()
-	for i := range s.chunkStripes {
-		s.chunkStripes[i].mu.Lock()
-	}
-	for i := range s.chunkStripes {
-		s.chunkStripes[i].data = make(map[block.Strong][]byte)
-	}
+	// Restore the chunk store: the FIFO comes back verbatim.
+	s.chunkMu.Lock()
+	s.chunks = make(map[block.Strong][]byte, len(st.chunks))
 	s.chunkFIFO = nil
-	var chunkBytes int64
+	s.chunkBytes = 0
 	for _, c := range st.chunks {
-		s.chunkStripeOf(c.h).data[c.h] = c.data
+		s.chunks[c.h] = c.data
 		s.chunkFIFO = append(s.chunkFIFO, c.h)
-		chunkBytes += int64(len(c.data))
+		s.chunkBytes += int64(len(c.data))
 	}
-	s.chunkBytes.Store(chunkBytes)
-	for i := len(s.chunkStripes) - 1; i >= 0; i-- {
-		s.chunkStripes[i].mu.Unlock()
-	}
-	s.chunkInsertMu.Unlock()
+	s.chunkMu.Unlock()
 
 	s.applied.replace(st.applied)
 

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/frame"
 	"repro/internal/wire"
 )
@@ -178,6 +180,75 @@ func TestSnapshotBytesAreCanonical(t *testing.T) {
 	}
 	if again := saveBytes(t, s2); !bytes.Equal(first, again) {
 		t.Fatal("Save → Load → Save does not reproduce the snapshot")
+	}
+}
+
+// Snapshots are shard-agnostic: one saved by a 64-shard server loads into a
+// 1-shard and a 4-shard server with every observable unchanged, and each
+// re-saves to exactly the source bytes.
+func TestSnapshotRestoresAcrossShardCounts(t *testing.T) {
+	src := New(nil)
+	if src.ShardCount() != 64 {
+		t.Fatalf("source has %d shards, want 64", src.ShardCount())
+	}
+	a, b := src.RegisterGroup(7), src.RegisterGroup(7)
+	for i := 0; i < 40; i++ {
+		mustOK(t, push(t, src, a, &wire.Node{Kind: wire.NFull, Path: fmt.Sprintf("d%d/f%02d", i%3, i),
+			Full: randBytes(int64(i), 50+i), Ver: v(a, uint64(i+1))}))
+	}
+	mustOK(t, push(t, src, a, &wire.Node{Kind: wire.NMkdir, Path: "d0"}, &wire.Node{Kind: wire.NMkdir, Path: "d1"}))
+	chunks := []wire.ChunkRef{
+		{Hash: [16]byte{1}, Len: 5, Data: []byte("hello")},
+		{Hash: [16]byte{2}, Len: 6, Data: []byte(" world")},
+	}
+	mustOK(t, push(t, src, b, &wire.Node{Kind: wire.NCDC, Path: "d2/chunked", Chunks: chunks, Ver: v(b, 1)}))
+	// Both members edit d0/f00 from its first version; b loses and gets a
+	// conflict copy.
+	mustOK(t, push(t, src, a, &wire.Node{Kind: wire.NWrite, Path: "d0/f00", Base: v(a, 1), Ver: v(a, 41),
+		Extents: []wire.Extent{{Off: 0, Data: []byte("A")}}}))
+	r := push(t, src, b, &wire.Node{Kind: wire.NWrite, Path: "d0/f00", Base: v(a, 1), Ver: v(b, 2),
+		Extents: []wire.Extent{{Off: 1, Data: []byte("B")}}})
+	if len(r.Conflicts) != 1 {
+		t.Fatalf("stale write did not make one conflict copy: %+v", r)
+	}
+	snap := saveBytes(t, src)
+
+	for _, shards := range []int{1, 4} {
+		dst := NewWithOptions(nil, Options{Shards: shards})
+		if err := dst.Load(bytes.NewReader(snap)); err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if !reflect.DeepEqual(src.Files(), dst.Files()) {
+			t.Fatalf("%d shards: files %v, want %v", shards, dst.Files(), src.Files())
+		}
+		if !reflect.DeepEqual(src.Dirs(), dst.Dirs()) {
+			t.Fatalf("%d shards: dirs %v, want %v", shards, dst.Dirs(), src.Dirs())
+		}
+		for _, p := range append(src.Files(), "absent") {
+			sv, sok := src.Head(p)
+			dv, dok := dst.Head(p)
+			if sv != dv || sok != dok {
+				t.Fatalf("%d shards: Head(%s) = %v %v, want %v %v", shards, p, dv, dok, sv, sok)
+			}
+			sc, _ := src.FileContent(p)
+			dc, _ := dst.FileContent(p)
+			if !bytes.Equal(sc, dc) {
+				t.Fatalf("%d shards: %s content differs", shards, p)
+			}
+		}
+		if !reflect.DeepEqual(src.AppliedLog(), dst.AppliedLog()) {
+			t.Fatalf("%d shards: applied log differs", shards)
+		}
+		for _, h := range []block.Strong{{1}, {2}, {3}} {
+			sd, sok := src.chunk(h)
+			dd, dok := dst.chunk(h)
+			if sok != dok || !bytes.Equal(sd, dd) {
+				t.Fatalf("%d shards: chunk %x resolves to %q %v, want %q %v", shards, h[:1], dd, dok, sd, sok)
+			}
+		}
+		if again := saveBytes(t, dst); !bytes.Equal(snap, again) {
+			t.Fatalf("%d shards: re-Save differs from the source snapshot", shards)
+		}
 	}
 }
 

@@ -74,16 +74,13 @@ type Server struct {
 
 	// The content-addressed chunk store (Seafile/Dropbox dedup), bounded to
 	// wire.ChunkStoreBudget bytes with global-FIFO eviction that clients
-	// mirror insert-for-insert (baseline.ChunkTracker). Residency is
-	// striped: resolving a chunk reference — the dedup hot path — takes
-	// only the owning stripe's lock. Inserts and evictions serialize on
-	// chunkInsertMu (ordering: chunkInsertMu, then one stripe.mu at a
-	// time), which keeps the eviction order exactly the client-visible
-	// global FIFO while never blocking concurrent reference resolution.
-	chunkInsertMu sync.Mutex
-	chunkFIFO     []block.Strong
-	chunkStripes  [chunkStripeCount]chunkStripe
-	chunkBytes    atomic.Int64
+	// mirror insert-for-insert (baseline.ChunkTracker). chunkMu guards the
+	// residency map, the FIFO and the byte count (level 5 in shard.go's
+	// lock table).
+	chunkMu    sync.Mutex
+	chunks     map[block.Strong][]byte
+	chunkFIFO  []block.Strong
+	chunkBytes int64
 
 	// clients is the per-client state registry; groups indexes the sharing
 	// groups (forwarding scope) by group ID. Both are guarded by clientMu.
@@ -93,9 +90,9 @@ type Server struct {
 	nextClient uint32
 
 	// applied records the order in which content-bearing nodes were
-	// committed, for the upload-ordering experiment (Table IV). Striped
-	// (applied.go) so commits never funnel through one global mutex.
-	applied *appliedLog
+	// committed, for the upload-ordering experiment (Table IV) and the
+	// snapshot (applied.go).
+	applied appliedLog
 
 	// journal, when set, is the durable push WAL: every batch is recorded
 	// before it is applied, under the batch's shard locks, so a replay
@@ -133,13 +130,10 @@ type AppliedOp struct {
 // Options tunes a server's concurrency structure.
 type Options struct {
 	// Shards is the file-state stripe count (0 → DefaultShards, rounded up
-	// to a power of two, minimum 1).
+	// to a power of two). A 1-shard server serializes every batch on a
+	// single lock — the global-lock configuration the property tests use
+	// as oracle.
 	Shards int
-	// AppliedStripes is the applied-op log stripe count (0 → same as the
-	// resolved Shards). 1 reproduces the historical global-appliedMu
-	// behavior: every commit appends under one mutex — the baseline the
-	// loadsweep compares the striped log against.
-	AppliedStripes int
 	// FS is the file-IO layer snapshots (SaveFile/LoadFile) write
 	// through. nil means the real file system; the crash-point harness
 	// substitutes a storagefault.SimDisk or Injector.
@@ -149,19 +143,7 @@ type Options struct {
 // New returns an empty server with DefaultShards stripes, charging CPU work
 // to meter (may be nil).
 func New(meter *metrics.CPUMeter) *Server {
-	return NewWithShards(meter, DefaultShards)
-}
-
-// NewWithShards returns an empty server with the given stripe count (rounded
-// up to a power of two, minimum 1). A 1-shard server serializes every batch
-// on a single lock — the global-lock configuration the property tests use as
-// oracle and the throughput sweep uses as baseline; it also gets a 1-stripe
-// applied log, completing the "one global mutex" oracle shape.
-func NewWithShards(meter *metrics.CPUMeter, shards int) *Server {
-	if shards < 1 {
-		shards = 1
-	}
-	return NewWithOptions(meter, Options{Shards: shards, AppliedStripes: shards})
+	return NewWithOptions(meter, Options{})
 }
 
 // NewWithOptions returns an empty server with an explicit concurrency
@@ -175,10 +157,6 @@ func NewWithOptions(meter *metrics.CPUMeter, o Options) *Server {
 	for n < shards {
 		n <<= 1
 	}
-	appliedStripes := o.AppliedStripes
-	if appliedStripes <= 0 {
-		appliedStripes = n
-	}
 	fsys := o.FS
 	if fsys == nil {
 		fsys = storagefault.OS
@@ -188,15 +166,12 @@ func NewWithOptions(meter *metrics.CPUMeter, o Options) *Server {
 		shardMask: uint32(n - 1),
 		clients:   make(map[uint32]*clientState),
 		groups:    make(map[uint32]*groupInfo),
-		applied:   newAppliedLog(appliedStripes),
+		chunks:    make(map[block.Strong][]byte),
 		fsys:      fsys,
 		meter:     meter,
 	}
 	for i := range s.shards {
 		s.shards[i] = newFileShard()
-	}
-	for i := range s.chunkStripes {
-		s.chunkStripes[i].data = make(map[block.Strong][]byte)
 	}
 	s.shard(".").dirs["."] = true
 	return s
@@ -316,21 +291,6 @@ func (s *Server) SeedFile(path string, content []byte) {
 	sh.unlockOne()
 }
 
-// chunkStripeCount stripes the chunk residency maps (power of two). Purely
-// a lock-granularity knob: eviction order is global and unaffected.
-const chunkStripeCount = 8
-
-// chunkStripe is one lock stripe of the chunk store's residency map.
-type chunkStripe struct {
-	mu   sync.Mutex
-	data map[block.Strong][]byte
-}
-
-// chunkStripeOf returns the stripe owning h.
-func (s *Server) chunkStripeOf(h block.Strong) *chunkStripe {
-	return &s.chunkStripes[int(h[0])&(chunkStripeCount-1)]
-}
-
 // SeedChunk installs a content-addressed chunk in the server's chunk store
 // outside the measured run (matching a client primed to treat the chunk as
 // server-known).
@@ -340,48 +300,32 @@ func (s *Server) SeedChunk(h block.Strong, data []byte) {
 
 // storeChunk inserts a chunk, evicting global-FIFO past the budget.
 // Re-inserting a resident chunk is a no-op (matching the client-side
-// tracker). chunkInsertMu serializes inserts so the FIFO — the order the
-// client tracker replays — is exactly the insertion order the pushes
-// committed in; stripe locks are taken one at a time underneath it, only
-// around map mutation.
+// tracker). Inserts serialize on chunkMu, so the FIFO — the order the
+// client tracker replays — is exactly the order the pushes committed in.
 func (s *Server) storeChunk(h block.Strong, data []byte) {
-	s.chunkInsertMu.Lock()
-	defer s.chunkInsertMu.Unlock()
-	st := s.chunkStripeOf(h)
-	st.mu.Lock()
-	_, resident := st.data[h]
-	if !resident {
-		st.data[h] = data
-	}
-	st.mu.Unlock()
-	if resident {
+	s.chunkMu.Lock()
+	defer s.chunkMu.Unlock()
+	if _, resident := s.chunks[h]; resident {
 		return
 	}
+	s.chunks[h] = data
 	s.chunkFIFO = append(s.chunkFIFO, h)
-	s.chunkBytes.Add(int64(len(data)))
-	for s.chunkBytes.Load() > wire.ChunkStoreBudget && len(s.chunkFIFO) > 0 {
+	s.chunkBytes += int64(len(data))
+	for s.chunkBytes > wire.ChunkStoreBudget && len(s.chunkFIFO) > 0 {
 		old := s.chunkFIFO[0]
 		s.chunkFIFO = s.chunkFIFO[1:]
-		ost := s.chunkStripeOf(old)
-		ost.mu.Lock()
-		if d, ok := ost.data[old]; ok {
-			s.chunkBytes.Add(-int64(len(d)))
-			delete(ost.data, old)
-		}
-		ost.mu.Unlock()
+		s.chunkBytes -= int64(len(s.chunks[old]))
+		delete(s.chunks, old)
 	}
 }
 
-// chunk returns a copy-free reference to a resident chunk, touching only
-// the owning stripe's lock — the dedup hot path never contends with
-// inserts to other chunks. The returned slice stays valid even if the
-// chunk is evicted after the stripe lock is released: eviction drops the
-// map entry, not the backing array.
+// chunk returns a copy-free reference to a resident chunk. The returned
+// slice stays valid even if the chunk is evicted after chunkMu is released:
+// eviction drops the map entry, not the backing array.
 func (s *Server) chunk(h block.Strong) ([]byte, bool) {
-	st := s.chunkStripeOf(h)
-	st.mu.Lock()
-	d, ok := st.data[h]
-	st.mu.Unlock()
+	s.chunkMu.Lock()
+	d, ok := s.chunks[h]
+	s.chunkMu.Unlock()
 	return d, ok
 }
 
@@ -427,8 +371,7 @@ func (s *Server) Dirs() []string {
 	return out
 }
 
-// AppliedLog returns the order in which operations were committed (merged
-// across the applied-log stripes, sorted by commit sequence).
+// AppliedLog returns the order in which operations were committed.
 func (s *Server) AppliedLog() []AppliedOp {
 	return s.applied.snapshot()
 }

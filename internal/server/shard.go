@@ -31,13 +31,9 @@ import (
 //  3. Server.clientMu — registry lookup/insert/iteration only; no other
 //     lock is ever acquired while it is held.
 //  4. clientState.outMu — leaf; at most one held at a time.
-//  5. Server.chunkInsertMu, then chunkStripe.mu (one at a time under it;
-//     chunk() takes a single stripe lock with nothing above). Save/Load
-//     hold the insert lock plus every stripe in ascending order, with
-//     every earlier level already held.
-//  6. appliedStripe.mu — leaf; at most one held at a time (append takes
-//     exactly one stripe; snapshot/replace take one at a time, never
-//     nested — applied.go).
+//  5. Server.chunkMu — a leaf on the push path. Save holds it, with every
+//     earlier level, while it takes levels 6 and 7.
+//  6. appliedLog.mu — leaf (applied.go).
 //  7. Journal.mu — leaf; taken under the batch's shard locks on the push
 //     path (WAL-before-apply) and with the full quiesce set held during
 //     Save's journal-boundary capture.

@@ -216,7 +216,7 @@ func TestShardedMatchesGlobalLockOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sharded := New(nil)
-			oracle := NewWithShards(nil, 1)
+			oracle := NewWithOptions(nil, Options{Shards: 1})
 			if oracle.ShardCount() != 1 {
 				t.Fatalf("oracle has %d shards, want 1", oracle.ShardCount())
 			}
@@ -511,13 +511,14 @@ func TestOutboxBackpressureSignaled(t *testing.T) {
 	}
 }
 
-// NewWithShards must round up to a power of two and never go below 1.
-func TestNewWithShardsRounding(t *testing.T) {
+// NewWithOptions must round the shard count up to a power of two, with a
+// non-positive count meaning DefaultShards.
+func TestNewWithOptionsShardRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {65, 128},
+		{-1, DefaultShards}, {0, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {65, 128},
 	} {
-		if got := NewWithShards(nil, tc.in).ShardCount(); got != tc.want {
-			t.Errorf("NewWithShards(%d) → %d shards, want %d", tc.in, got, tc.want)
+		if got := NewWithOptions(nil, Options{Shards: tc.in}).ShardCount(); got != tc.want {
+			t.Errorf("NewWithOptions(Shards: %d) → %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }

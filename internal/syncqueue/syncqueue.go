@@ -594,19 +594,6 @@ func (q *Queue) ReplaceWithDeltaIfBaseStable(path, basePath string, d *Node) boo
 	return q.ReplaceWithDelta(path, d)
 }
 
-// WritePayload returns the payload size of path's most recent pending write
-// node (0 if none) — what the in-place delta optimization compares a
-// candidate delta against.
-func (q *Queue) WritePayload(path string) int64 {
-	for i := len(q.nodes) - 1; i >= q.head; i-- {
-		n := q.nodes[i]
-		if n != nil && n.Kind == KindWrite && n.Path == path {
-			return n.PayloadBytes()
-		}
-	}
-	return 0
-}
-
 // RemoveRecent removes the most recent not-yet-uploaded node of the given
 // kind for path (recording a backindex group over the removed position
 // through the tail). It returns whether a node was removed. Used when a

@@ -44,9 +44,6 @@ func NewDirFSWith(fsys storagefault.FS, dir string) (*DirFS, error) {
 	return &DirFS{root: dir, fsys: fsys}, nil
 }
 
-// Root returns the root directory.
-func (d *DirFS) Root() string { return d.root }
-
 func (d *DirFS) abs(p string) string {
 	return filepath.Join(d.root, filepath.FromSlash(clean(p)))
 }
